@@ -58,22 +58,38 @@ pub struct GridIndex {
 }
 
 impl GridIndex {
+    /// An empty index with the geometry [`GridIndex::build`] would give a
+    /// `dim`-dimensional state pair: cells no smaller than `min_cell_side`
+    /// (typically the query radius `2r`), capped per dimension. It holds no
+    /// devices until the first [`GridIndex::rebuild`], but
+    /// [`GridIndex::cell_index`] and [`GridIndex::expand_cells`] already
+    /// answer — they depend on the geometry alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `min_cell_side` is not a positive finite number.
+    pub fn new(dim: usize, min_cell_side: f64) -> Self {
+        let cells_per_axis = Self::resolution(dim, min_cell_side);
+        GridIndex {
+            cells_per_axis,
+            cell_side: 1.0 / cells_per_axis as f64,
+            dim,
+            population: 0,
+            buckets: Vec::new(),
+            cell_of: Vec::new(),
+            slot_of: Vec::new(),
+        }
+    }
+
     /// Builds an index over the `before` positions of `pair`, with cells no
-    /// smaller than `min_cell_side` (typically the query radius `2r`).
+    /// smaller than `min_cell_side`: [`GridIndex::new`] followed by
+    /// [`GridIndex::rebuild`].
     ///
     /// # Panics
     ///
     /// Panics if `min_cell_side` is not a positive finite number.
     pub fn build(pair: &StatePair, min_cell_side: f64) -> Self {
-        let mut index = GridIndex {
-            cells_per_axis: 0,
-            cell_side: 1.0,
-            dim: 0,
-            population: 0,
-            buckets: Vec::new(),
-            cell_of: Vec::new(),
-            slot_of: Vec::new(),
-        };
+        let mut index = GridIndex::new(pair.dim(), min_cell_side);
         index.rebuild(pair, min_cell_side);
         index
     }
@@ -91,14 +107,8 @@ impl GridIndex {
     ///
     /// Panics if `min_cell_side` is not a positive finite number.
     pub fn rebuild(&mut self, pair: &StatePair, min_cell_side: f64) {
-        assert!(
-            min_cell_side.is_finite() && min_cell_side > 0.0,
-            "cell side must be positive and finite"
-        );
         let dim = pair.dim();
-        // Cap the axis resolution so `cells_per_axis^dim` stays affordable in
-        // higher dimensions (d is small in practice: number of services).
-        let cells_per_axis = ((1.0 / min_cell_side).floor() as usize).clamp(1, Self::max_axis(dim));
+        let cells_per_axis = Self::resolution(dim, min_cell_side);
         let cell_side = 1.0 / cells_per_axis as f64;
         let total_cells = cells_per_axis.pow(dim as u32);
         for bucket in &mut self.buckets {
@@ -151,12 +161,7 @@ impl GridIndex {
         min_cell_side: f64,
         moves: &[(DeviceId, Point, Point)],
     ) -> GridUpdate {
-        assert!(
-            min_cell_side.is_finite() && min_cell_side > 0.0,
-            "cell side must be positive and finite"
-        );
-        let max_axis = Self::max_axis(pair.dim());
-        let cells_per_axis = ((1.0 / min_cell_side).floor() as usize).clamp(1, max_axis);
+        let cells_per_axis = Self::resolution(pair.dim(), min_cell_side);
         if pair.dim() != self.dim
             || cells_per_axis != self.cells_per_axis
             || pair.len() != self.population
@@ -202,6 +207,18 @@ impl GridIndex {
     /// Panics if `coords` has fewer axes than the indexed dimension.
     pub fn cell_index(&self, coords: &[f64]) -> usize {
         Self::flatten(coords, self.cells_per_axis, self.cell_side)
+    }
+
+    /// Cells per axis for a `dim`-dimensional space with cells no smaller
+    /// than `min_cell_side`. Caps the axis resolution so
+    /// `cells_per_axis^dim` stays affordable in higher dimensions (`d` is
+    /// small in practice: the number of services).
+    fn resolution(dim: usize, min_cell_side: f64) -> usize {
+        assert!(
+            min_cell_side.is_finite() && min_cell_side > 0.0,
+            "cell side must be positive and finite"
+        );
+        ((1.0 / min_cell_side).floor() as usize).clamp(1, Self::max_axis(dim))
     }
 
     /// Axis-resolution cap for a given dimension, keeping
@@ -511,6 +528,28 @@ mod tests {
     fn rejects_zero_cell_side() {
         let pair = pair_from(vec![vec![0.5]], vec![vec![0.5]]);
         GridIndex::build(&pair, 0.0);
+    }
+
+    #[test]
+    fn an_empty_index_has_the_built_geometry_and_fills_on_first_update() {
+        let pair = pair_from(
+            vec![vec![0.1, 0.1], vec![0.5, 0.52], vec![0.97, 0.0]],
+            vec![vec![0.1, 0.1], vec![0.5, 0.52], vec![0.97, 0.0]],
+        );
+        let built = GridIndex::build(&pair, 0.06);
+        let mut empty = GridIndex::new(2, 0.06);
+        assert_eq!(empty.cells_per_axis(), built.cells_per_axis());
+        for (_, p) in pair.before().iter() {
+            assert_eq!(empty.cell_index(p.coords()), built.cell_index(p.coords()));
+        }
+        let dirty = [built.cell_index(&[0.5, 0.52])].into_iter().collect();
+        assert_eq!(empty.expand_cells(&dirty, 1), built.expand_cells(&dirty, 1));
+        // The first update cannot be incremental: nothing is indexed yet.
+        assert_eq!(empty.apply_moves(&pair, 0.06, &[]), GridUpdate::Rebuilt);
+        assert_eq!(
+            empty.neighbors_both(&pair, DeviceId(1), 0.5),
+            built.neighbors_both(&pair, DeviceId(1), 0.5)
+        );
     }
 
     #[test]

@@ -24,7 +24,8 @@
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
-    /// Single-threaded characterization on the calling thread (default).
+    /// Characterization on the calling thread (default): the pool's
+    /// precompute and verdict jobs run inline, as one shard.
     #[default]
     Sequential,
     /// Characterization fanned out over a persistent pool of `workers` OS
@@ -37,8 +38,9 @@ pub enum Engine {
     /// spatially-coherent slice of the flagged set.
     ///
     /// `workers == 0` and `workers == 1` behave like [`Engine::Sequential`]
-    /// (no threads are spawned), and the worker count is capped at the
-    /// number of flagged devices.
+    /// (no threads are spawned), the worker count is capped at the number
+    /// of devices to characterize, and a phase that ends up with a single
+    /// shard runs inline too.
     Threaded {
         /// Upper bound on concurrent worker threads.
         workers: usize,
@@ -65,21 +67,22 @@ impl Engine {
 }
 
 /// How the monitor keeps its vicinity [`GridIndex`](anomaly_qos::GridIndex)
-/// current across sampling instants.
+/// current across sampling instants. There is one way: incrementally.
+///
+/// The enum and its no-op setter
+/// [`MonitorBuilder::grid_maintenance`](super::MonitorBuilder::grid_maintenance)
+/// remain only so existing callers that name the mode keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GridMaintenance {
     /// Diff the newly indexed snapshot against the previous one and
     /// re-bucket only the devices whose grid cell changed
     /// ([`GridIndex::apply_moves`](anomaly_qos::GridIndex::apply_moves));
-    /// falls back to a full rebuild automatically when the cohort size or
-    /// the cell resolution changes. The default: on a mostly-calm fleet the
-    /// per-instant index cost is proportional to the churn, not the
-    /// population.
+    /// the index is rebuilt from scratch only when the indexed scope changes
+    /// (the first characterized instant, churn, a reset). On a mostly-calm
+    /// fleet the per-instant index cost is proportional to the churn, not
+    /// the population.
     #[default]
     Incremental,
-    /// Rebuild the index from scratch every instant (the pre-engine
-    /// behaviour; kept for benchmarking and as a paranoid fallback).
-    FullRebuild,
 }
 
 #[cfg(test)]

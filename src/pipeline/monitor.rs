@@ -1,15 +1,15 @@
-use super::engine::{Engine, GridMaintenance};
+use super::engine::Engine;
 use super::error::MonitorError;
 use super::events::{AnomalyEvent, EventDelta, EventTracker};
 use super::ingest::{EpochState, StalenessPolicy};
 use super::key::DeviceKey;
 use super::persist;
-use super::pool::{Job, JobOutput, WorkerPool};
+use super::pool::{run_phase, Job, WorkerPool};
 use super::report::{DeviceVerdict, Report, ReportSummary, Stragglers};
 use super::timings::Stopwatch;
 use anomaly_core::{
     AnalyzerCore, Characterization, ComponentPartition, DevicePrecompute, Params, ShardPlan,
-    TrajectoryTable, DEFAULT_ENUMERATION_BUDGET,
+    TrajectoryTable,
 };
 use anomaly_detectors::{DeviceDetector, StateReader, StateWriter};
 use anomaly_qos::{
@@ -122,11 +122,13 @@ pub struct Monitor {
     /// current `keys` still describe it). An O(1) handle on the pre-churn
     /// `keys` Arc.
     previous_keys: Option<Arc<Vec<DeviceKey>>>,
-    /// Vicinity index, reused (allocations and all) across instants. Arc'd
-    /// so the worker pool can share it during a parallel phase; between
+    /// Vicinity index, reused (allocations and all) across instants. Its
+    /// geometry (dimension and `2r` cells) is fixed at construction, so
+    /// cell indices are meaningful before the first characterized instant
+    /// fills it. Arc'd so the characterization jobs can share it; between
     /// epochs the monitor holds the only reference and mutates in place
     /// through [`Arc::make_mut`].
-    grid: Option<Arc<GridIndex>>,
+    grid: Arc<GridIndex>,
     /// Execution strategy for the characterization phase.
     engine: Engine,
     /// Persistent characterization workers, spawned lazily at the first
@@ -145,21 +147,15 @@ pub struct Monitor {
     flagged_slots: BTreeSet<u32>,
     /// Per-device characterization cache, keyed by dense id. Valid only
     /// while the fleet stays steady (no churn: dense ids are the cohort
-    /// ids) under incremental grid maintenance; entries are invalidated
-    /// when their cell falls inside the [`INVALIDATION_RINGS`]-expanded
-    /// dirty-cell neighbourhood.
+    /// ids); entries are invalidated when their cell falls inside the
+    /// [`INVALIDATION_RINGS`]-expanded dirty-cell neighbourhood.
     char_cache: BTreeMap<u32, CacheEntry>,
     /// Grid cells touched since the last characterized instant: cells of
     /// rows whose value changed, plus cells of devices whose detector flag
     /// flipped. Consumed (and re-seeded with the sealing epoch's own
     /// changed cells) at every characterized instant.
     dirty_pending: BTreeSet<usize>,
-    /// Builder knob: `false` forces a full recompute every instant (the
-    /// reference path the cache is byte-compared against).
-    cache_enabled: bool,
-    /// Grid update policy across instants.
-    grid_maintenance: GridMaintenance,
-    /// Reusable vicinity-query buffer for the sequential path.
+    /// Reusable vicinity-query buffer for jobs run inline.
     neighbor_buf: Vec<DeviceId>,
     instant: u64,
     /// The open streaming epoch: pending per-device updates and
@@ -229,8 +225,8 @@ pub(super) struct SealDelta {
     /// detectors of every other slot stay frozen.
     pub(super) fed: Vec<u32>,
     /// Old and new grid cell of every row whose value changed this epoch.
-    /// Empty when no grid exists yet, the epoch was not steady, or the
-    /// characterization cache is off — the cases where nobody consumes it.
+    /// Empty after churn or when there is no previous snapshot: such an
+    /// epoch has no per-row change set, and the cache is empty anyway.
     pub(super) changed_cells: Vec<usize>,
 }
 
@@ -259,13 +255,12 @@ impl Monitor {
         capacity: usize,
         max_population: u64,
         engine: Engine,
-        grid_maintenance: GridMaintenance,
         staleness: StalenessPolicy,
         epoch_start: u64,
         history: usize,
         debounce: u64,
-        cache_enabled: bool,
     ) -> Self {
+        let grid = GridIndex::new(services, params.window().max(1e-6));
         Monitor {
             params,
             services,
@@ -279,15 +274,13 @@ impl Monitor {
             detectors: Vec::with_capacity(capacity),
             previous: None,
             previous_keys: None,
-            grid: None,
+            grid: Arc::new(grid),
             engine,
             pool: None,
             flag_state: Vec::with_capacity(capacity),
             flagged_slots: BTreeSet::new(),
             char_cache: BTreeMap::new(),
             dirty_pending: BTreeSet::new(),
-            cache_enabled,
-            grid_maintenance,
             neighbor_buf: Vec::new(),
             instant: epoch_start,
             epoch: EpochState::with_capacity(capacity),
@@ -304,11 +297,6 @@ impl Monitor {
     /// The execution strategy for the characterization phase.
     pub fn engine(&self) -> Engine {
         self.engine
-    }
-
-    /// The vicinity-grid maintenance policy.
-    pub fn grid_maintenance(&self) -> GridMaintenance {
-        self.grid_maintenance
     }
 
     /// How the most recent characterized instant brought the vicinity grid
@@ -461,90 +449,55 @@ impl Monitor {
     }
 
     /// Whether a changed row is worth recording as a grid move candidate:
-    /// only incremental maintenance ever replays moves, and once the grid
-    /// exists only cell-crossing ones need re-bucketing (the cell geometry
-    /// is fixed for the monitor's lifetime — `window` never changes).
-    /// Lets the sealing path skip the two `Point` clones per changed row
-    /// whenever they would be discarded.
+    /// only cell-crossing moves ever need re-bucketing (the cell geometry
+    /// is fixed for the monitor's lifetime — `window` never changes), so
+    /// the sealing path skips the two `Point` clones for same-cell jitter.
     pub(super) fn wants_grid_move(&self, old: &Point, new: &Point) -> bool {
-        if self.grid_maintenance != GridMaintenance::Incremental {
-            return false;
-        }
-        match &self.grid {
-            Some(grid) => grid.cell_index(old.coords()) != grid.cell_index(new.coords()),
-            None => true,
-        }
+        self.grid.cell_index(old.coords()) != self.grid.cell_index(new.coords())
     }
 
-    /// Appends this epoch's before-position moves to the batch the
-    /// vicinity grid will replay at its next incremental update. Only
-    /// cell-crossing moves are kept — same-cell jitter never needs
-    /// re-bucketing — so the staged batch stays proportional to the real
-    /// churn.
+    /// Appends this epoch's cell-crossing moves (see
+    /// [`Monitor::wants_grid_move`]) to the batch the vicinity grid will
+    /// replay at its next incremental update — unless the grid is due for
+    /// a rebuild anyway.
     pub(super) fn stage_grid_moves(&mut self, moves: Vec<(DeviceId, Point, Point)>) {
-        if !self.grid_full_synced || self.grid_maintenance != GridMaintenance::Incremental {
-            return;
+        if self.grid_full_synced {
+            self.grid_staged.extend(moves);
         }
-        let Some(grid) = &self.grid else { return };
-        for (id, old, new) in moves {
-            if grid.cell_index(old.coords()) != grid.cell_index(new.coords()) {
-                self.grid_staged.push((id, old, new));
-            }
-        }
-    }
-
-    /// Whether the per-device characterization cache is enabled (the
-    /// [`MonitorBuilder::characterization_cache`](super::MonitorBuilder::characterization_cache)
-    /// knob). Reports are byte-identical either way; only seal latency
-    /// differs.
-    pub fn characterization_cache(&self) -> bool {
-        self.cache_enabled
     }
 
     /// Old and new vicinity-grid cell of every row that changed value this
     /// epoch — the seed of the characterization cache's dirty set. Pure
     /// cell geometry: indices depend only on the space dimension and the
     /// window, both fixed for the monitor's lifetime, so they stay
-    /// comparable across grid rebuilds. Empty when no grid exists yet or
-    /// nothing would consume the result (cache off, or full-rebuild
-    /// maintenance, which forfeits incrementality).
+    /// comparable across grid rebuilds and exist before the grid first
+    /// indexes anything.
     pub(super) fn changed_cells_of(&self, changed: &[DeviceId], current: &Snapshot) -> Vec<usize> {
-        if changed.is_empty()
-            || !self.cache_enabled
-            || self.grid_maintenance != GridMaintenance::Incremental
-        {
-            return Vec::new();
-        }
-        let (Some(grid), Some(prev)) = (self.grid.as_ref(), self.previous.as_ref()) else {
+        let Some(prev) = self.previous.as_ref() else {
             return Vec::new();
         };
-        let mut cells = Vec::with_capacity(changed.len() * 2);
-        for &id in changed {
-            cells.push(grid.cell_index(prev.position(id).coords()));
-            cells.push(grid.cell_index(current.position(id).coords()));
-        }
-        cells
+        changed
+            .iter()
+            .flat_map(|&id| [prev.position(id), current.position(id)])
+            .map(|p| self.grid.cell_index(p.coords()))
+            .collect()
     }
 
     /// Assembles the interval's characterization engine from the freshly
-    /// computed precompute slices plus — when the cache is live — the
-    /// stored slices of every cache-served device. Together the parts
-    /// cover the abnormal set exactly, whatever mix produced them.
+    /// computed precompute slices plus the stored slices of every
+    /// cache-served device. Together the parts cover the abnormal set
+    /// exactly, whatever mix produced them.
     fn merged_core(
         &self,
         table: &TrajectoryTable,
-        params: Params,
-        caching: bool,
         mut parts: Vec<(DeviceId, DevicePrecompute)>,
     ) -> AnalyzerCore {
-        if caching {
-            for &j in table.ids() {
-                if let Some(entry) = self.char_cache.get(&j.0) {
-                    parts.push((j, entry.precompute.clone()));
-                }
+        for &j in table.ids() {
+            if let Some(entry) = self.char_cache.get(&j.0) {
+                parts.push((j, entry.precompute.clone()));
             }
         }
-        AnalyzerCore::from_parts(table, params, parts)
+        AnalyzerCore::from_parts(table, self.params, parts)
     }
 
     /// Enrolls a device, building its detector with the configured factory.
@@ -788,9 +741,8 @@ impl Monitor {
                 }
                 // A_k membership changed at this device's position: every
                 // cached verdict in its neighbourhood is suspect.
-                if let Some(grid) = &self.grid {
-                    self.dirty_pending.insert(grid.cell_index(point.coords()));
-                }
+                self.dirty_pending
+                    .insert(self.grid.cell_index(point.coords()));
             }
             if let Some(state) = self.flag_state.get_mut(i) {
                 *state = (flagged_now, verdict.score());
@@ -963,22 +915,16 @@ impl Monitor {
         // Vicinity index over the whole cohort (not only A_k), kept across
         // instants. At a steady full-fleet instant the staged cell moves
         // accumulated by the sealing path are replayed incrementally
-        // (`apply_moves` — O(moved devices)); any scope or shape change
-        // falls back to a full rebuild.
+        // (`apply_moves` — O(moved devices)); a scope change (first
+        // characterized instant, churn, reset) rebuilds it.
         let window = self.params.window();
         let cell_side = window.max(1e-6);
-        self.last_grid_update = Some(match (&mut self.grid, self.grid_maintenance) {
-            (Some(grid), GridMaintenance::Incremental) if steady && self.grid_full_synced => {
-                Arc::make_mut(grid).apply_moves(&pair, cell_side, &self.grid_staged)
-            }
-            (Some(grid), _) => {
-                Arc::make_mut(grid).rebuild(&pair, cell_side);
-                GridUpdate::Rebuilt
-            }
-            (grid @ None, _) => {
-                *grid = Some(Arc::new(GridIndex::build(&pair, cell_side)));
-                GridUpdate::Rebuilt
-            }
+        let grid = Arc::make_mut(&mut self.grid);
+        self.last_grid_update = Some(if steady && self.grid_full_synced {
+            grid.apply_moves(&pair, cell_side, &self.grid_staged)
+        } else {
+            grid.rebuild(&pair, cell_side);
+            GridUpdate::Rebuilt
         });
         self.grid_staged.clear();
         self.grid_full_synced = steady;
@@ -987,54 +933,40 @@ impl Monitor {
         // characterized instant, expand them to the 4r (= 2 cell rings)
         // dependency neighbourhood of Definition 1's locality bound, and
         // drop every cached verdict anchored inside it; what remains is
-        // provably unaffected and served without recomputation. Only a
-        // steady interval can be served — under churn the cohort ids the
-        // cache is keyed by no longer exist (`note_churn` already cleared
-        // it) — and only under incremental grid maintenance, which is the
-        // mode that tracks deltas at all.
-        let caching =
-            steady && self.cache_enabled && self.grid_maintenance == GridMaintenance::Incremental;
+        // provably unaffected and served without recomputation. Under
+        // churn the cache is empty (`note_churn` cleared it: the cohort
+        // ids it was keyed by no longer exist), so every device is fresh.
+        let dirty = std::mem::take(&mut self.dirty_pending);
+        if !dirty.is_empty() {
+            let doomed = self.grid.expand_cells(&dirty, INVALIDATION_RINGS);
+            self.char_cache
+                .retain(|_, entry| !doomed.contains(&entry.cell));
+        }
+        // Echo: rows that changed this epoch change trajectory again next
+        // epoch (moving → stationary), so their cells go straight back
+        // into the dirty set for the next invalidation round.
+        self.dirty_pending.extend(echo_cells.iter().copied());
         let mut rows: Vec<VerdictRow> = Vec::with_capacity(abnormal.len());
         let mut fresh: Vec<DeviceId> = Vec::new();
-        if caching {
-            let dirty = std::mem::take(&mut self.dirty_pending);
-            if !dirty.is_empty() {
-                let grid = self
-                    .grid
-                    .as_ref()
-                    .ok_or(MonitorError::internal("vicinity grid missing after update"))?;
-                let doomed = grid.expand_cells(&dirty, INVALIDATION_RINGS);
-                self.char_cache
-                    .retain(|_, entry| !doomed.contains(&entry.cell));
+        for &j in &abnormal {
+            match self.char_cache.get(&j.0) {
+                Some(entry) => rows.push(VerdictRow {
+                    j,
+                    characterization: entry.characterization,
+                    vicinity: entry.vicinity,
+                }),
+                None => fresh.push(j),
             }
-            // Echo: rows that changed this epoch change trajectory again
-            // next epoch (moving → stationary), so their cells go straight
-            // back into the dirty set for the next invalidation round.
-            self.dirty_pending.extend(echo_cells.iter().copied());
-            for &j in &abnormal {
-                match self.char_cache.get(&j.0) {
-                    Some(entry) => rows.push(VerdictRow {
-                        j,
-                        characterization: entry.characterization,
-                        vicinity: entry.vicinity,
-                    }),
-                    None => fresh.push(j),
-                }
-            }
-        } else {
-            self.char_cache.clear();
-            self.dirty_pending.clear();
-            fresh.extend(abnormal.iter().copied());
         }
 
         // Fresh characterization in two per-device phases (both
         // embarrassingly parallel, per Definition 1's locality): per-device
         // motion precompute, merged with the cached slices into one
         // engine, then verdicts and vicinities for the fresh devices only.
-        // The merge is deterministic — parts are keyed by dense id — so
-        // the report is identical for every engine, worker count, and for
-        // the cache-off reference path.
-        let params = self.params;
+        // Each phase is a list of shard jobs, run inline as one shard or
+        // on the worker pool; the merge is deterministic — parts are keyed
+        // by dense id — so the report is identical for every engine and
+        // worker count.
         let mut fresh_rows: Vec<(DeviceId, Characterization, usize)> =
             Vec::with_capacity(fresh.len());
         let mut fresh_pre: BTreeMap<u32, DevicePrecompute> = BTreeMap::new();
@@ -1056,50 +988,15 @@ impl Monitor {
             }));
             (pair, partition)
         } else {
-            let table = TrajectoryTable::from_state_pair(&pair, &abnormal);
+            let table = Arc::new(TrajectoryTable::from_state_pair(&pair, &abnormal));
+            // Shards come from the grid-locality-aware plan over the whole
+            // abnormal set, restricted to the fresh devices.
             let shard_count = self.engine.shard_count(fresh.len());
-            if shard_count <= 1 {
-                let mut fresh_parts: Vec<(DeviceId, DevicePrecompute)> =
-                    Vec::with_capacity(fresh.len());
-                for &j in &fresh {
-                    let pre = AnalyzerCore::precompute_device(
-                        &table,
-                        &params,
-                        j,
-                        DEFAULT_ENUMERATION_BUDGET,
-                    );
-                    if caching {
-                        fresh_pre.insert(j.0, pre.clone());
-                    }
-                    fresh_parts.push((j, pre));
-                }
-                let core = self.merged_core(&table, params, caching, fresh_parts);
-                // The merged core covers the whole abnormal set (fresh
-                // slices plus every cached one), so its partition is the
-                // epoch's global one — byte-identical to the cache-off
-                // reference path.
-                let partition = core.component_partition();
-                let grid = self
-                    .grid
-                    .as_ref()
-                    .ok_or(MonitorError::internal("vicinity grid missing after update"))?;
-                let buf = &mut self.neighbor_buf;
-                for &j in &fresh {
-                    grid.neighbors_both_into(&pair, j, window, buf);
-                    fresh_rows.push((j, core.characterize_full(&table, j), buf.len()));
-                }
-                (pair, partition)
+            let shards: Vec<Vec<DeviceId>> = if shard_count <= 1 {
+                vec![fresh]
             } else {
-                // Threaded: ship both phases to the persistent worker
-                // pool. Shards come from the grid-locality-aware plan over
-                // the whole abnormal set, restricted to the fresh devices.
-                let workers = match self.engine {
-                    Engine::Threaded { workers } => workers,
-                    Engine::Sequential => 1,
-                };
-                let plan = ShardPlan::build(&table, window, shard_count);
-                let fresh_set: BTreeSet<DeviceId> = fresh.iter().copied().collect();
-                let shards: Vec<Vec<DeviceId>> = plan
+                let fresh_set: BTreeSet<DeviceId> = fresh.into_iter().collect();
+                ShardPlan::build(&table, window, shard_count)
                     .shards()
                     .iter()
                     .map(|shard| {
@@ -1110,95 +1007,66 @@ impl Monitor {
                             .collect::<Vec<DeviceId>>()
                     })
                     .filter(|shard| !shard.is_empty())
-                    .collect();
-                let mut pool = match self.pool.take() {
-                    Some(pool) if pool.workers() == workers => pool,
-                    _ => WorkerPool::spawn(workers),
-                };
-                let table = Arc::new(table);
-                let jobs: Vec<Job> = shards
-                    .iter()
-                    .map(|shard| Job::Precompute {
-                        table: Arc::clone(&table),
-                        params,
-                        shard: shard.clone(),
-                    })
-                    .collect();
-                // A pool failure propagates as a typed internal error; the
-                // poisoned pool was already taken out of `self` and is
-                // dropped (joining its workers) on the way out.
-                let outputs = pool.run(jobs)?;
-                let mut fresh_parts: Vec<(DeviceId, DevicePrecompute)> =
-                    Vec::with_capacity(fresh.len());
-                for output in outputs {
-                    match output {
-                        JobOutput::Parts(parts) => fresh_parts.extend(parts),
-                        JobOutput::Verdicts(_) => {
-                            return Err(MonitorError::internal(
-                                "precompute phase returned verdict output",
-                            ))
-                        }
-                    }
-                }
-                if caching {
-                    for (j, pre) in &fresh_parts {
-                        fresh_pre.insert(j.0, pre.clone());
-                    }
-                }
-                let core = Arc::new(self.merged_core(&table, params, caching, fresh_parts));
-                let partition = core.component_partition();
-                let grid = Arc::clone(
-                    self.grid
-                        .as_ref()
-                        .ok_or(MonitorError::internal("vicinity grid missing after update"))?,
-                );
-                let pair = Arc::new(pair);
-                let jobs: Vec<Job> = shards
-                    .iter()
-                    .map(|shard| Job::Verdicts {
-                        core: Arc::clone(&core),
-                        table: Arc::clone(&table),
-                        pair: Arc::clone(&pair),
-                        grid: Arc::clone(&grid),
-                        window,
-                        shard: shard.clone(),
-                    })
-                    .collect();
-                let outputs = pool.run(jobs)?;
-                self.pool = Some(pool);
-                for output in outputs {
-                    match output {
-                        JobOutput::Verdicts(rows) => fresh_rows.extend(rows),
-                        JobOutput::Parts(_) => {
-                            return Err(MonitorError::internal(
-                                "verdict phase returned precompute output",
-                            ))
-                        }
-                    }
-                }
-                // Every job consumed its Arc clones before reporting its
-                // result, so after collecting all of them this is the only
-                // reference again (the clone arm is unreachable
-                // belt-and-braces).
-                (
-                    Arc::try_unwrap(pair).unwrap_or_else(|arc| (*arc).clone()),
-                    partition,
-                )
+                    .collect()
+            };
+            let params = self.params;
+            let jobs: Vec<Job> = shards
+                .iter()
+                .map(|shard| Job::Precompute {
+                    table: Arc::clone(&table),
+                    params,
+                    shard: shard.clone(),
+                })
+                .collect();
+            let mut fresh_parts: Vec<(DeviceId, DevicePrecompute)> = Vec::new();
+            for output in run_phase(self.engine, &mut self.pool, &mut self.neighbor_buf, jobs)? {
+                fresh_parts.extend(output.into_parts()?);
             }
+            if steady {
+                for (j, pre) in &fresh_parts {
+                    fresh_pre.insert(j.0, pre.clone());
+                }
+            }
+            // The merged core covers the whole abnormal set (fresh slices
+            // plus every cached one), so its partition is the epoch's
+            // global one.
+            let core = Arc::new(self.merged_core(&table, fresh_parts));
+            let partition = core.component_partition();
+            let pair = Arc::new(pair);
+            let jobs: Vec<Job> = shards
+                .into_iter()
+                .map(|shard| Job::Verdicts {
+                    core: Arc::clone(&core),
+                    table: Arc::clone(&table),
+                    pair: Arc::clone(&pair),
+                    grid: Arc::clone(&self.grid),
+                    window,
+                    shard,
+                })
+                .collect();
+            for output in run_phase(self.engine, &mut self.pool, &mut self.neighbor_buf, jobs)? {
+                fresh_rows.extend(output.into_verdicts()?);
+            }
+            // Every job consumed its Arc clones before reporting its
+            // result, so after collecting all of them this is the only
+            // reference again (the clone arm is unreachable
+            // belt-and-braces).
+            (
+                Arc::try_unwrap(pair).unwrap_or_else(|arc| (*arc).clone()),
+                partition,
+            )
         };
 
         // Freshly decided devices enter the cache (with their precompute
-        // slice, for future merges) before joining the cached rows.
-        if caching && !fresh_rows.is_empty() {
-            let grid = self
-                .grid
-                .as_ref()
-                .ok_or(MonitorError::internal("vicinity grid missing after update"))?;
+        // slice, for future merges) before joining the cached rows — at a
+        // steady interval only, where cohort ids are the dense ids the
+        // cache is keyed by.
+        if steady {
             for &(j, characterization, vicinity) in &fresh_rows {
                 let precompute = fresh_pre.remove(&j.0).ok_or(MonitorError::internal(
                     "fresh device missing its precompute slice",
                 ))?;
-                let cell = grid.cell_index(pair.after().position(j).coords());
+                let cell = self.grid.cell_index(pair.after().position(j).coords());
                 self.char_cache.insert(
                     j.0,
                     CacheEntry {
@@ -1765,7 +1633,7 @@ mod tests {
 
     #[test]
     fn steady_epochs_update_the_grid_incrementally() {
-        // After the first characterized instant builds the grid, later
+        // After the first characterized instant fills the grid, later
         // small epochs replay only their staged cell moves.
         let mut m = warmed(16);
         let mut rows = vec![vec![0.9]; 16];

@@ -1,4 +1,10 @@
-//! Persistent worker pool for the threaded characterization engine.
+//! The characterization jobs and the persistent worker pool that runs
+//! them for the threaded engine.
+//!
+//! Both engines run the same [`Job`]s: [`run_phase`] executes a phase
+//! inline on the calling thread under [`Engine::Sequential`] (which plans
+//! one shard) or when it is a single shard, and otherwise ships it to the
+//! pool.
 //!
 //! The earlier [`Engine::Threaded`](super::Engine::Threaded) implementation
 //! spawned fresh scoped threads twice per sealed epoch (one round for the
@@ -20,6 +26,7 @@
 //! boundary); the monitor drops the poisoned pool and rebuilds it on the
 //! next threaded epoch.
 
+use super::engine::Engine;
 use super::error::MonitorError;
 use anomaly_core::{
     AnalyzerCore, Characterization, DevicePrecompute, Params, TrajectoryTable,
@@ -73,6 +80,58 @@ pub(super) enum JobOutput {
 struct JobResult {
     seq: usize,
     output: Option<JobOutput>,
+}
+
+impl JobOutput {
+    /// The precompute slices of a [`Job::Precompute`].
+    pub(super) fn into_parts(self) -> Result<Vec<(DeviceId, DevicePrecompute)>, MonitorError> {
+        match self {
+            JobOutput::Parts(parts) => Ok(parts),
+            JobOutput::Verdicts(_) => Err(MonitorError::internal(
+                "precompute phase returned verdict output",
+            )),
+        }
+    }
+
+    /// The verdict rows of a [`Job::Verdicts`].
+    pub(super) fn into_verdicts(
+        self,
+    ) -> Result<Vec<(DeviceId, Characterization, usize)>, MonitorError> {
+        match self {
+            JobOutput::Verdicts(rows) => Ok(rows),
+            JobOutput::Parts(_) => Err(MonitorError::internal(
+                "verdict phase returned precompute output",
+            )),
+        }
+    }
+}
+
+/// Runs one characterization phase and returns its outputs in job order.
+///
+/// Jobs run inline on the calling thread, with `buf` as their
+/// vicinity-query scratch buffer, under [`Engine::Sequential`] or when
+/// there is only one; several jobs under [`Engine::Threaded`] go to
+/// `pool`, which is spawned on first use (or respawned when the worker
+/// count changed). A pool failure propagates as a typed internal error and
+/// leaves `pool` empty: the poisoned pool is dropped, joining its workers,
+/// and the next threaded phase spawns a new one.
+pub(super) fn run_phase(
+    engine: Engine,
+    pool: &mut Option<WorkerPool>,
+    buf: &mut Vec<DeviceId>,
+    jobs: Vec<Job>,
+) -> Result<Vec<JobOutput>, MonitorError> {
+    let workers = match engine {
+        Engine::Threaded { workers } if jobs.len() > 1 => workers,
+        _ => return Ok(jobs.into_iter().map(|job| job.run(buf)).collect()),
+    };
+    let mut live = match pool.take() {
+        Some(live) if live.workers() == workers => live,
+        _ => WorkerPool::spawn(workers),
+    };
+    let outputs = live.run(jobs)?;
+    *pool = Some(live);
+    Ok(outputs)
 }
 
 impl Job {
@@ -327,6 +386,40 @@ mod tests {
         // The job consumed its Arc before reporting; after collection the
         // caller holds the only reference again.
         assert!(Arc::try_unwrap(table).is_ok());
+    }
+
+    #[test]
+    fn run_phase_spawns_the_pool_only_for_several_threaded_jobs() {
+        let params = Params::new(0.03, 3).unwrap();
+        let table = Arc::new(table_of(&[(0, 0.1, 0.5), (1, 0.12, 0.52)]));
+        let jobs = |shards: &[&[u32]]| -> Vec<Job> {
+            shards
+                .iter()
+                .map(|shard| Job::Precompute {
+                    table: Arc::clone(&table),
+                    params,
+                    shard: shard.iter().map(|&j| DeviceId(j)).collect(),
+                })
+                .collect()
+        };
+        let ids = |outputs: Vec<JobOutput>| -> Vec<Vec<u32>> {
+            outputs
+                .into_iter()
+                .map(|o| o.into_parts().unwrap().iter().map(|(j, _)| j.0).collect())
+                .collect()
+        };
+        let mut pool = None;
+        let mut buf = Vec::new();
+        let threaded = Engine::Threaded { workers: 2 };
+        let inline = run_phase(threaded, &mut pool, &mut buf, jobs(&[&[0, 1]])).unwrap();
+        assert_eq!(ids(inline), vec![vec![0, 1]]);
+        assert!(pool.is_none(), "one shard runs inline");
+        let sequential = run_phase(Engine::Sequential, &mut pool, &mut buf, jobs(&[&[0], &[1]]));
+        assert_eq!(ids(sequential.unwrap()), vec![vec![0], vec![1]]);
+        assert!(pool.is_none(), "the sequential engine never spawns");
+        let pooled = run_phase(threaded, &mut pool, &mut buf, jobs(&[&[0], &[1]])).unwrap();
+        assert_eq!(ids(pooled), vec![vec![0], vec![1]]);
+        assert_eq!(pool.as_ref().map(WorkerPool::workers), Some(2));
     }
 
     #[test]

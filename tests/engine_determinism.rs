@@ -1,8 +1,11 @@
 //! The engine knob must be unobservable in reports: `Threaded` with any
 //! worker count produces exactly the verdicts, ordering, and summary of
 //! `Sequential` — on steady fleets, on the churn trace of `monitor_v2.rs`,
-//! and on a generated large-ish fleet — and the incremental vicinity grid
-//! must be equally invisible next to full rebuilds.
+//! and on a generated large-ish fleet — and the characterization cache
+//! and the incremental vicinity grid must be equally invisible: reports
+//! equal the naive oracle's from-scratch recomputation.
+
+mod oracle;
 
 use anomaly_characterization::core::Params;
 use anomaly_characterization::pipeline::{
@@ -12,6 +15,7 @@ use anomaly_characterization::qos::{QosSpace, Snapshot, StatePair};
 use anomaly_characterization::simulator::fleet::{generate_fleet, FleetSpec};
 use anomaly_characterization::simulator::trace::{Trace, TraceStep};
 use anomaly_characterization::simulator::GroundTruth;
+use oracle::Oracle;
 
 const BASELINE: f64 = 0.9;
 
@@ -63,32 +67,33 @@ fn assert_reports_identical(a: &Report, b: &Report, context: &str) {
     assert_eq!(normalized(a), normalized(b), "{context}: JSON summary");
 }
 
-/// Replays the monitor_v2 churn scenario under `engine`/`grid`, returning
-/// every report produced.
-fn churn_scenario(engine: Engine, grid: GridMaintenance) -> Vec<Report> {
-    churn_scenario_cached(engine, grid, true)
-}
-
-fn churn_scenario_cached(engine: Engine, grid: GridMaintenance, cache: bool) -> Vec<Report> {
+/// Replays the monitor_v2 churn scenario under `engine`, checking every
+/// report against the naive oracle, and returns them all.
+fn churn_scenario(engine: Engine) -> Vec<Report> {
     let mut m = MonitorBuilder::new()
         .engine(engine)
-        .grid_maintenance(grid)
-        .characterization_cache(cache)
         .fleet(8)
         .build()
         .unwrap();
+    let mut oracle = Oracle::new();
     let mut reports = Vec::new();
+    let mut observe = |m: &mut Monitor, levels: &[f64]| {
+        let report = m
+            .observe_rows(levels.iter().map(|&v| vec![v]).collect())
+            .unwrap();
+        oracle.check(m, &report);
+        reports.push(report);
+    };
+    let healthy = vec![BASELINE; 8];
     for _ in 0..40 {
-        reports.push(m.observe_rows(vec![vec![BASELINE]; 8]).unwrap());
+        observe(&mut m, &healthy);
     }
 
     // Segment 1: shared incident + lone fault, then recovery.
-    let healthy = vec![BASELINE; 8];
     let incident = vec![0.45, 0.46, 0.44, 0.452, 0.458, 0.443, 0.10, BASELINE];
-    let seg1 = trace_from_levels(&[healthy.clone(), incident, healthy.clone()]);
-    reports.extend(m.run_trace(&seg1).unwrap());
-    for _ in 0..40 {
-        reports.push(m.observe_rows(vec![vec![BASELINE]; 8]).unwrap());
+    observe(&mut m, &incident);
+    for _ in 0..41 {
+        observe(&mut m, &healthy);
     }
 
     // Churn: 6 and 7 leave, 100 and 101 join.
@@ -99,17 +104,17 @@ fn churn_scenario_cached(engine: Engine, grid: GridMaintenance, cache: bool) -> 
 
     // Segment 2: another mixed incident over the churned fleet.
     let second = vec![0.45, 0.46, 0.44, 0.452, 0.458, 0.10, 0.20, 0.22];
-    let seg2 = trace_from_levels(&[healthy, second]);
-    reports.extend(m.run_trace(&seg2).unwrap());
+    observe(&mut m, &second);
+    assert!(oracle.checked() > 0, "the trace must flag devices");
     reports
 }
 
 #[test]
 fn threaded_1_to_8_workers_match_sequential_on_the_churn_trace() {
-    let baseline = churn_scenario(Engine::Sequential, GridMaintenance::Incremental);
+    let baseline = churn_scenario(Engine::Sequential);
     assert!(baseline.iter().any(|r| !r.verdicts().is_empty()));
     for workers in 1..=8 {
-        let threaded = churn_scenario(Engine::Threaded { workers }, GridMaintenance::Incremental);
+        let threaded = churn_scenario(Engine::Threaded { workers });
         assert_eq!(baseline.len(), threaded.len());
         for (a, b) in baseline.iter().zip(&threaded) {
             assert_reports_identical(a, b, &format!("workers={workers} k={}", a.instant()));
@@ -117,28 +122,16 @@ fn threaded_1_to_8_workers_match_sequential_on_the_churn_trace() {
     }
 }
 
-/// The characterization cache must be unobservable next to full
-/// recomputation, under every engine: disabling it changes no byte of any
-/// report on the churn trace.
+/// The characterization cache and the incremental vicinity grid must be
+/// unobservable under every engine: each report on the churn trace —
+/// steady epochs, the churned interval, and the rebuilds around it —
+/// equals the oracle's recomputation with a fresh analyzer and a freshly
+/// built grid (`churn_scenario` checks every epoch).
 #[test]
 fn characterization_cache_is_unobservable_on_the_churn_trace() {
-    let baseline = churn_scenario_cached(Engine::Sequential, GridMaintenance::Incremental, true);
-    assert!(baseline.iter().any(|r| !r.verdicts().is_empty()));
     for engine in [Engine::Sequential, Engine::Threaded { workers: 4 }] {
-        let uncached = churn_scenario_cached(engine, GridMaintenance::Incremental, false);
-        assert_eq!(baseline.len(), uncached.len());
-        for (a, b) in baseline.iter().zip(&uncached) {
-            assert_reports_identical(a, b, &format!("{engine:?} cache off, k={}", a.instant()));
-        }
-    }
-}
-
-#[test]
-fn grid_maintenance_mode_is_unobservable() {
-    let incremental = churn_scenario(Engine::Sequential, GridMaintenance::Incremental);
-    let rebuild = churn_scenario(Engine::Sequential, GridMaintenance::FullRebuild);
-    for (a, b) in incremental.iter().zip(&rebuild) {
-        assert_reports_identical(a, b, &format!("grid mode, k={}", a.instant()));
+        let reports = churn_scenario(engine);
+        assert!(reports.iter().any(|r| r.has_network_event()), "{engine:?}");
     }
 }
 
@@ -159,12 +152,11 @@ fn engines_agree_on_a_generated_fleet_with_clusters() {
         seed: 11,
     };
     let fleet = generate_fleet(&spec, 3).unwrap();
-    let run = |engine: Engine, grid: GridMaintenance| -> Vec<Report> {
+    let run = |engine: Engine| -> Vec<Report> {
         use anomaly_characterization::detectors::{ThresholdDetector, VectorDetector};
         let mut m = MonitorBuilder::new()
             .services(2)
             .engine(engine)
-            .grid_maintenance(grid)
             .detector_factory(|_| {
                 Box::new(VectorDetector::homogeneous(2, || {
                     ThresholdDetector::with_delta(0.16)
@@ -173,17 +165,22 @@ fn engines_agree_on_a_generated_fleet_with_clusters() {
             .fleet(600)
             .build()
             .unwrap();
+        let mut oracle = Oracle::new();
         fleet
             .iter()
-            .map(|instant| m.observe(instant.snapshot.clone()).unwrap())
+            .map(|instant| {
+                let report = m.observe(instant.snapshot.clone()).unwrap();
+                oracle.check(&m, &report);
+                report
+            })
             .collect()
     };
-    let baseline = run(Engine::Sequential, GridMaintenance::FullRebuild);
+    let baseline = run(Engine::Sequential);
     let total: usize = baseline.iter().map(|r| r.verdicts().len()).sum();
     assert!(total > 0, "scenario must flag devices");
     assert!(baseline.iter().any(|r| r.has_network_event()));
     for workers in [2, 5, 8] {
-        let threaded = run(Engine::Threaded { workers }, GridMaintenance::Incremental);
+        let threaded = run(Engine::Threaded { workers });
         for (a, b) in baseline.iter().zip(&threaded) {
             assert_reports_identical(a, b, &format!("fleet workers={workers} k={}", a.instant()));
         }
@@ -245,19 +242,15 @@ fn evaluation_scores_are_byte_identical_across_engines() {
 
 /// The event tracker's standing state — open events, recently closed
 /// events, lifetime counters, and the history ring — is byte-identical
-/// across `Sequential` vs `Threaded{1..=8}` and both grid-maintenance
-/// modes, not just the per-report delta feed.
+/// across `Sequential` vs `Threaded{1..=8}`, not just the per-report delta
+/// feed.
 #[test]
-fn event_tracker_state_is_identical_across_engines_and_grid_modes() {
+fn event_tracker_state_is_identical_across_engines() {
     use anomaly_characterization::pipeline::AnomalyEvent;
 
-    fn run(
-        engine: Engine,
-        grid: GridMaintenance,
-    ) -> (Vec<AnomalyEvent>, Vec<AnomalyEvent>, String) {
+    fn run(engine: Engine) -> (Vec<AnomalyEvent>, Vec<AnomalyEvent>, String) {
         let mut m = MonitorBuilder::new()
             .engine(engine)
-            .grid_maintenance(grid)
             .debounce(1)
             .fleet(8)
             .build()
@@ -296,27 +289,16 @@ fn event_tracker_state_is_identical_across_engines_and_grid_modes() {
         )
     }
 
-    let baseline = run(Engine::Sequential, GridMaintenance::FullRebuild);
+    let baseline = run(Engine::Sequential);
     assert!(
         !baseline.0.is_empty() || !baseline.1.is_empty(),
         "the scenario must produce events"
     );
     for workers in 1..=8 {
-        for grid in [GridMaintenance::Incremental, GridMaintenance::FullRebuild] {
-            let threaded = run(Engine::Threaded { workers }, grid);
-            assert_eq!(
-                baseline.0, threaded.0,
-                "open events, workers={workers} {grid:?}"
-            );
-            assert_eq!(
-                baseline.1, threaded.1,
-                "closed events, workers={workers} {grid:?}"
-            );
-            assert_eq!(
-                baseline.2, threaded.2,
-                "history ring, workers={workers} {grid:?}"
-            );
-        }
+        let threaded = run(Engine::Threaded { workers });
+        assert_eq!(baseline.0, threaded.0, "open events, workers={workers}");
+        assert_eq!(baseline.1, threaded.1, "closed events, workers={workers}");
+        assert_eq!(baseline.2, threaded.2, "history ring, workers={workers}");
     }
 }
 
@@ -367,26 +349,23 @@ proptest::proptest! {
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-    /// The spatial layer is engine- and grid-invariant on random traces:
-    /// every verdict's component id, the summary's distinct-component
-    /// count, and the component-split event-delta feed (which events open,
-    /// which devices join which) match `Sequential`/`Incremental`
-    /// byte-for-byte under a random `Threaded` worker count and either
-    /// grid mode.
+    /// The spatial layer is engine-invariant on random traces: every
+    /// verdict's component id, the summary's distinct-component count, and
+    /// the component-split event-delta feed (which events open, which
+    /// devices join which) match `Sequential` byte-for-byte under a random
+    /// `Threaded` worker count.
     #[test]
     fn component_numbering_and_event_split_are_engine_invariant(
         levels in proptest::collection::vec(
             proptest::collection::vec(0.05..=0.95f64, 8), 3..7),
         workers in 1usize..=8,
-        grid_pick in 0usize..2,
     ) {
         use anomaly_characterization::detectors::ThresholdDetector;
         use proptest::prelude::*;
 
-        let run = |engine: Engine, grid: GridMaintenance| {
+        let run = |engine: Engine| {
             let mut m = MonitorBuilder::new()
                 .engine(engine)
-                .grid_maintenance(grid)
                 .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.1)))
                 .debounce(1)
                 .fleet(8)
@@ -408,31 +387,23 @@ proptest::proptest! {
             }
             surface
         };
-        let baseline = run(Engine::Sequential, GridMaintenance::Incremental);
-        let grid = if grid_pick == 1 {
-            GridMaintenance::FullRebuild
-        } else {
-            GridMaintenance::Incremental
-        };
-        prop_assert_eq!(baseline, run(Engine::Threaded { workers }, grid));
+        prop_assert_eq!(run(Engine::Sequential), run(Engine::Threaded { workers }));
     }
 }
 
 /// The serve crate's alert stream inherits the full engine invariance:
 /// the same measurement stream produces a byte-identical action stream —
 /// pages, recurrences, resolutions, signatures — across
-/// `Sequential`/`Threaded{1..=8}` × both grid-maintenance modes, and
-/// replaying the run from a cold start (checkpointless restart)
-/// reproduces it exactly.
+/// `Sequential`/`Threaded{1..=8}`, and replaying the run from a cold start
+/// (checkpointless restart) reproduces it exactly.
 #[test]
-fn serve_alert_stream_is_byte_identical_across_engines_and_grid_modes() {
+fn serve_alert_stream_is_byte_identical_across_engines() {
     use anomaly_characterization::network::Topology;
     use anomaly_serve::{actions_to_json, AlertConfig, AlertSink, KeyMap};
 
-    fn run(engine: Engine, grid: GridMaintenance) -> String {
+    fn run(engine: Engine) -> String {
         let mut m = MonitorBuilder::new()
             .engine(engine)
-            .grid_maintenance(grid)
             .debounce(1)
             .fleet(64)
             .build()
@@ -483,7 +454,7 @@ fn serve_alert_stream_is_byte_identical_across_engines_and_grid_modes() {
         actions_to_json(&actions)
     }
 
-    let baseline = run(Engine::Sequential, GridMaintenance::FullRebuild);
+    let baseline = run(Engine::Sequential);
     assert!(
         baseline.contains("\"kind\":\"page\""),
         "the scenario must page: {baseline}"
@@ -493,18 +464,13 @@ fn serve_alert_stream_is_byte_identical_across_engines_and_grid_modes() {
         "the scenario must resolve: {baseline}"
     );
     // Checkpointless restart: a byte-identical rerun.
-    assert_eq!(
-        baseline,
-        run(Engine::Sequential, GridMaintenance::FullRebuild)
-    );
+    assert_eq!(baseline, run(Engine::Sequential));
     for workers in 1..=8 {
-        for grid in [GridMaintenance::Incremental, GridMaintenance::FullRebuild] {
-            assert_eq!(
-                baseline,
-                run(Engine::Threaded { workers }, grid),
-                "alert stream diverged: workers={workers} {grid:?}"
-            );
-        }
+        assert_eq!(
+            baseline,
+            run(Engine::Threaded { workers }),
+            "alert stream diverged: workers={workers}"
+        );
     }
 }
 
@@ -566,24 +532,17 @@ proptest::proptest! {
 
 #[test]
 fn builder_exposes_the_engine_and_grid_knobs() {
+    // The grid knob names the one (incremental) mode and changes nothing.
     let m: Monitor = MonitorBuilder::new()
         .engine(Engine::Threaded { workers: 3 })
-        .grid_maintenance(GridMaintenance::FullRebuild)
+        .grid_maintenance(GridMaintenance::Incremental)
         .build()
         .unwrap();
     assert_eq!(m.engine(), Engine::Threaded { workers: 3 });
-    assert_eq!(m.grid_maintenance(), GridMaintenance::FullRebuild);
-    // Defaults: sequential engine, incremental grid.
+    assert_eq!(GridMaintenance::default(), GridMaintenance::Incremental);
+    // Default: sequential engine.
     let d = MonitorBuilder::new().build().unwrap();
     assert_eq!(d.engine(), Engine::Sequential);
-    assert_eq!(d.grid_maintenance(), GridMaintenance::Incremental);
-    // The characterization cache defaults on; the knob turns it off.
-    assert!(d.characterization_cache());
-    let off = MonitorBuilder::new()
-        .characterization_cache(false)
-        .build()
-        .unwrap();
-    assert!(!off.characterization_cache());
     // threaded_auto never yields a zero worker count.
     match Engine::threaded_auto() {
         Engine::Threaded { workers } => assert!(workers > 1),

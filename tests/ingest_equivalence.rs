@@ -1,15 +1,20 @@
 //! The streaming front-end must be unobservable next to the batch one:
 //! any permutation of per-device updates — duplicates included, last
 //! write wins — sealed once yields a report identical (modulo wall-clock
-//! timings) to `observe()` on the assembled snapshot, across both engines
-//! and both grid-maintenance modes. And sealing a small epoch over a calm
-//! fleet must maintain the vicinity grid incrementally, not rebuild it.
+//! timings) to `observe()` on the assembled snapshot, across both
+//! engines. The characterization cache must be unobservable too: every
+//! sealed report equals the naive oracle's from-scratch recomputation.
+//! And sealing a small epoch over a calm fleet must maintain the vicinity
+//! grid incrementally, not rebuild it.
 
-use anomaly_characterization::detectors::ThresholdDetector;
+mod oracle;
+
+use anomaly_characterization::detectors::{ThresholdDetector, VectorDetector};
 use anomaly_characterization::pipeline::{
-    Engine, GridMaintenance, Monitor, MonitorBuilder, Report, StalenessPolicy,
+    Engine, Monitor, MonitorBuilder, Report, StalenessPolicy,
 };
 use anomaly_characterization::qos::GridUpdate;
+use oracle::Oracle;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -33,10 +38,9 @@ fn fingerprint(r: &Report) -> String {
     )
 }
 
-fn build(n: usize, engine: Engine, grid: GridMaintenance) -> Monitor {
+fn build(n: usize, engine: Engine) -> Monitor {
     MonitorBuilder::new()
         .engine(engine)
-        .grid_maintenance(grid)
         .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.08)))
         .fleet(n)
         .build()
@@ -57,41 +61,39 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         for engine in [Engine::Sequential, Engine::Threaded { workers: 3 }] {
-            for grid in [GridMaintenance::Incremental, GridMaintenance::FullRebuild] {
-                let mut batch = build(n, engine, grid);
-                let mut stream = build(n, engine, grid);
-                let mut rng = StdRng::seed_from_u64(seed);
-                for epoch in &levels {
-                    let rows: Vec<Vec<f64>> =
-                        epoch[..n].iter().map(|&v| vec![v]).collect();
-                    // Stale duplicates first (they must be overwritten) …
-                    for slot in 0..n {
-                        if rng.gen_bool(0.3) {
-                            let junk = rng.gen_range(0.0..=1.0);
-                            stream.ingest(slot as u64, vec![junk]).unwrap();
-                        }
+            let mut batch = build(n, engine);
+            let mut stream = build(n, engine);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for epoch in &levels {
+                let rows: Vec<Vec<f64>> =
+                    epoch[..n].iter().map(|&v| vec![v]).collect();
+                // Stale duplicates first (they must be overwritten) …
+                for slot in 0..n {
+                    if rng.gen_bool(0.3) {
+                        let junk = rng.gen_range(0.0..=1.0);
+                        stream.ingest(slot as u64, vec![junk]).unwrap();
                     }
-                    // … then the real updates, in a random arrival order.
-                    let mut updates: Vec<(u64, Vec<f64>)> = rows
-                        .iter()
-                        .enumerate()
-                        .map(|(slot, row)| (slot as u64, row.clone()))
-                        .collect();
-                    updates.shuffle(&mut rng);
-                    stream.ingest_many(updates).unwrap();
-                    let streamed = stream.seal().unwrap();
-
-                    let observed = batch.observe_rows(rows).unwrap();
-                    prop_assert_eq!(
-                        fingerprint(&observed),
-                        fingerprint(&streamed),
-                        "epoch {} diverged under {:?}/{:?}",
-                        observed.instant(), engine, grid
-                    );
                 }
-                // Both monitors agree on the final snapshot too.
-                prop_assert_eq!(batch.last_snapshot(), stream.last_snapshot());
+                // … then the real updates, in a random arrival order.
+                let mut updates: Vec<(u64, Vec<f64>)> = rows
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, row)| (slot as u64, row.clone()))
+                    .collect();
+                updates.shuffle(&mut rng);
+                stream.ingest_many(updates).unwrap();
+                let streamed = stream.seal().unwrap();
+
+                let observed = batch.observe_rows(rows).unwrap();
+                prop_assert_eq!(
+                    fingerprint(&observed),
+                    fingerprint(&streamed),
+                    "epoch {} diverged under {:?}",
+                    observed.instant(), engine
+                );
             }
+            // Both monitors agree on the final snapshot too.
+            prop_assert_eq!(batch.last_snapshot(), stream.last_snapshot());
         }
     }
 }
@@ -100,10 +102,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The characterization cache must be unobservable: shuffled-silence
-    /// ingest sequences with mid-run churn, under every staleness policy,
-    /// both engines and both grid-maintenance modes, produce byte-identical
-    /// reports and final snapshots whether per-device verdicts are cached
-    /// or recomputed from scratch every epoch.
+    /// ingest sequences with mid-run churn, under every staleness policy
+    /// and both engines, seal reports that equal the naive oracle's
+    /// from-scratch recomputation at every epoch — and the two engines
+    /// agree byte for byte.
     #[test]
     fn characterization_cache_is_unobservable_under_churn(
         levels in proptest::collection::vec(
@@ -119,90 +121,89 @@ proptest! {
             StalenessPolicy::Default(vec![0.5]),
         ];
         for policy in &policies {
-            for engine in [Engine::Sequential, Engine::Threaded { workers: 3 }] {
-                for grid in [GridMaintenance::Incremental, GridMaintenance::FullRebuild] {
-                    let run = |cache: bool| {
-                        let mut m = MonitorBuilder::new()
-                            .engine(engine)
-                            .grid_maintenance(grid)
-                            .staleness(policy.clone())
-                            .characterization_cache(cache)
-                            .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.08)))
-                            .fleet(n)
-                            .build()
-                            .unwrap();
-                        let mut prints = Vec::new();
-                        for (e, epoch) in levels.iter().enumerate() {
-                            if e == churn_at {
-                                m.leave(0u64).unwrap();
-                                m.join(1_000u64).unwrap();
-                            }
-                            let keys = m.keys().to_vec();
-                            for (i, &key) in keys.iter().enumerate() {
-                                // Epoch 0 and the fresh joiner always
-                                // report; under Reject everyone does.
-                                let may_skip = e > 0
-                                    && !matches!(policy, StalenessPolicy::Reject)
-                                    && (key.0 as usize) < n
-                                    && silence[e][key.0 as usize] == 0;
-                                if may_skip {
-                                    continue;
-                                }
-                                m.ingest(key, vec![epoch[i % epoch.len()]]).unwrap();
-                            }
-                            prints.push(fingerprint(&m.seal().unwrap()));
+            let run = |engine: Engine| {
+                let mut m = MonitorBuilder::new()
+                    .engine(engine)
+                    .staleness(policy.clone())
+                    .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.08)))
+                    .fleet(n)
+                    .build()
+                    .unwrap();
+                let mut oracle = Oracle::new();
+                let mut prints = Vec::new();
+                for (e, epoch) in levels.iter().enumerate() {
+                    if e == churn_at {
+                        m.leave(0u64).unwrap();
+                        m.join(1_000u64).unwrap();
+                    }
+                    let keys = m.keys().to_vec();
+                    for (i, &key) in keys.iter().enumerate() {
+                        // Epoch 0 and the fresh joiner always report;
+                        // under Reject everyone does.
+                        let may_skip = e > 0
+                            && !matches!(policy, StalenessPolicy::Reject)
+                            && (key.0 as usize) < n
+                            && silence[e][key.0 as usize] == 0;
+                        if may_skip {
+                            continue;
                         }
-                        (prints, m.last_snapshot().cloned())
-                    };
-                    prop_assert_eq!(
-                        run(true),
-                        run(false),
-                        "{:?} under {:?}/{:?} diverged",
-                        policy, engine, grid
-                    );
+                        m.ingest(key, vec![epoch[i % epoch.len()]]).unwrap();
+                    }
+                    let report = m.seal().unwrap();
+                    oracle.check(&m, &report);
+                    prints.push(fingerprint(&report));
                 }
-            }
+                (prints, m.last_snapshot().cloned())
+            };
+            prop_assert_eq!(
+                run(Engine::Sequential),
+                run(Engine::Threaded { workers: 3 }),
+                "{:?}: engines diverged",
+                policy
+            );
         }
     }
 }
 
-/// A long steady run designed to hit every cache path: a flagged cluster
-/// frozen by silence (full cache hits, epoch after epoch), far-away calm
-/// movers (> 4r from the cluster — cached verdicts must be served
-/// untouched), then a mover *inside* the cluster's neighbourhood (partial
-/// invalidation, mixed cached/fresh characterization). Every epoch must
-/// match a cache-disabled monitor byte for byte.
+/// Seals one epoch of `rows` and checks the report against the oracle.
+fn step(m: &mut Monitor, oracle: &mut Oracle, rows: Vec<(u64, Vec<f64>)>) -> Report {
+    m.ingest_many(rows).unwrap();
+    let report = m.seal().unwrap();
+    oracle.check(m, &report);
+    report
+}
+
+/// Long steady runs designed to hit every cache path, checked against the
+/// naive oracle at every epoch.
+///
+/// First shape: a flagged cluster frozen by silence (full cache hits,
+/// epoch after epoch), far-away calm movers (> 4r from the cluster —
+/// cached verdicts must be served untouched), then a mover *inside* the
+/// cluster's neighbourhood (partial invalidation, mixed cached/fresh
+/// characterization).
+///
+/// Second shape: the cluster's jump is the monitor's *first* characterized
+/// epoch. Its verdicts describe the jump; one epoch later the silent
+/// cluster's trajectories are stationary and most verdicts change. The
+/// cells the jump touched must therefore reach the dirty set even though
+/// the vicinity grid had indexed nothing before that epoch.
 #[test]
 fn characterization_cache_matches_full_recompute_on_a_frozen_cluster() {
     const N: usize = 60;
-    let build = |cache: bool| {
-        MonitorBuilder::new()
-            .staleness(StalenessPolicy::CarryForward { max_age: 10_000 })
-            .characterization_cache(cache)
-            .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.1)))
-            .fleet(N)
-            .build()
-            .unwrap()
-    };
-    let mut cached = build(true);
-    let mut full = build(false);
-    assert!(cached.characterization_cache());
-    assert!(!full.characterization_cache());
+    let mut m = MonitorBuilder::new()
+        .staleness(StalenessPolicy::CarryForward { max_age: 10_000 })
+        .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.1)))
+        .fleet(N)
+        .build()
+        .unwrap();
+    let mut oracle = Oracle::new();
 
     let base_row = |k: u64| vec![0.55 + 0.3 * ((k % 37) as f64 / 37.0)];
-    let step = |cached: &mut Monitor, full: &mut Monitor, rows: Vec<(u64, Vec<f64>)>| {
-        cached.ingest_many(rows.clone()).unwrap();
-        full.ingest_many(rows).unwrap();
-        let a = cached.seal().unwrap();
-        let b = full.seal().unwrap();
-        assert_eq!(fingerprint(&a), fingerprint(&b), "k={}", a.instant());
-        a
-    };
     // Warm-up: two full epochs.
     for _ in 0..2 {
         step(
-            &mut cached,
-            &mut full,
+            &mut m,
+            &mut oracle,
             (0..N as u64).map(|k| (k, base_row(k))).collect(),
         );
     }
@@ -212,7 +213,7 @@ fn characterization_cache_matches_full_recompute_on_a_frozen_cluster() {
     for k in 0..6u64 {
         rows[k as usize] = (k, vec![0.10 + k as f64 * 0.005]);
     }
-    let r = step(&mut cached, &mut full, rows);
+    let r = step(&mut m, &mut oracle, rows);
     assert_eq!(r.verdicts().len(), 6);
     // Far-away churn only: two calm devices wiggle within their cells,
     // > 4r away from the cluster, so the cached cluster verdicts are
@@ -223,21 +224,86 @@ fn characterization_cache_matches_full_recompute_on_a_frozen_cluster() {
             (40u64, vec![base_row(40)[0] + wiggle]),
             (41u64, vec![base_row(41)[0] + wiggle]),
         ];
-        let r = step(&mut cached, &mut full, rows);
+        let r = step(&mut m, &mut oracle, rows);
         assert_eq!(r.verdicts().len(), 6, "the frozen cluster stays abnormal");
     }
     // A device drops into the cluster's 4r neighbourhood: the dirty-cell
     // expansion must invalidate the affected entries, flag the newcomer,
-    // and the mixed cached/fresh path must still be byte-identical.
-    let r = step(&mut cached, &mut full, vec![(30u64, vec![0.16])]);
+    // and the mixed cached/fresh path must still match the oracle.
+    let r = step(&mut m, &mut oracle, vec![(30u64, vec![0.16])]);
     assert_eq!(r.verdicts().len(), 7, "the near mover flags too");
     // And the re-cached neighbourhood serves the next quiet epoch.
     let r = step(
-        &mut cached,
-        &mut full,
+        &mut m,
+        &mut oracle,
         vec![(40u64, vec![base_row(40)[0] + 0.004])],
     );
     assert_eq!(r.verdicts().len(), 7);
+
+    // Second shape: 400 devices on 2 services; a 64-device cluster on a
+    // tight diagonal line in [0.55, 0.85]² (many overlapping dense
+    // motions in its jump epoch) jumps to a corner near (0.1, 0.12) in the
+    // first characterized epoch, then stays silent while one far calm
+    // device wiggles every epoch.
+    const FLEET: u64 = 400;
+    const CLUSTER: u64 = 64;
+    let mut m = MonitorBuilder::new()
+        .services(2)
+        .staleness(StalenessPolicy::CarryForward { max_age: 10_000 })
+        .detector_factory(|_| {
+            Box::new(VectorDetector::homogeneous(2, || {
+                ThresholdDetector::with_delta(0.15)
+            }))
+        })
+        .fleet(FLEET as usize)
+        .build()
+        .unwrap();
+    let mut oracle = Oracle::new();
+    // Deterministic sub-cell jitter in [0, 1).
+    let jitter = |k: u64, mul: u64| ((k * mul) % 64) as f64 / 64.0;
+    let line = |k: u64| {
+        vec![
+            0.57 + 0.0031 * k as f64 + 0.0005 * jitter(k, 29),
+            0.57 + 0.0034 * k as f64 + 0.0005 * jitter(k, 43),
+        ]
+    };
+    // Calm devices spread over [0.55, 0.85]², far (> 4r) from the corner.
+    let calm = |k: u64| {
+        vec![
+            0.55 + 0.3 * ((k * 7 % 97) as f64 / 97.0),
+            0.55 + 0.3 * ((k * 13 % 89) as f64 / 89.0),
+        ]
+    };
+    let home = |k: u64| if k < CLUSTER { line(k) } else { calm(k) };
+    for _ in 0..2 {
+        step(
+            &mut m,
+            &mut oracle,
+            (0..FLEET).map(|k| (k, home(k))).collect(),
+        );
+    }
+    let corner: Vec<(u64, Vec<f64>)> = (0..CLUSTER)
+        .map(|k| {
+            let x = 0.1 + 0.02 * ((k % 7) as f64 / 7.0) + 0.001 * jitter(k, 37);
+            (k, vec![x, 0.12 + 0.001 * jitter(k, 53)])
+        })
+        .collect();
+    let r = step(&mut m, &mut oracle, corner);
+    assert_eq!(r.verdicts().len(), CLUSTER as usize);
+    assert_eq!(m.last_grid_update(), Some(GridUpdate::Rebuilt));
+    let far = FLEET - 1;
+    for round in 0..4 {
+        let wiggle = if round % 2 == 0 { 0.003 } else { -0.003 };
+        let mut row = calm(far);
+        row[0] += wiggle;
+        let r = step(&mut m, &mut oracle, vec![(far, row)]);
+        assert_eq!(
+            r.verdicts().len(),
+            CLUSTER as usize,
+            "the silent cluster stays abnormal"
+        );
+    }
+    assert_eq!(oracle.checked(), 5 * CLUSTER as usize);
 }
 
 /// The acceptance bar for delta-style sealing: an epoch where ≤ 1% of the
@@ -260,7 +326,11 @@ fn sealing_a_one_percent_epoch_is_incremental() {
             .unwrap();
         m.seal().unwrap();
     }
-    assert_eq!(m.last_grid_update(), None, "no flags yet, no grid yet");
+    assert_eq!(
+        m.last_grid_update(),
+        None,
+        "no flags yet, no grid update yet"
+    );
 
     // Epoch 3: 1% of the fleet jumps; everyone else is silent and carried.
     m.ingest_many((0..CHANGED as u64).map(|k| (k, vec![0.95])))
