@@ -27,10 +27,9 @@ use anomaly_baselines::{Classifier, KMeansClassifier, TessellationClassifier};
 use anomaly_characterization::pipeline::Engine;
 use anomaly_core::Params;
 use anomaly_eval::{
-    evaluate_classifier_on, evaluate_monitor_alerts_on, evaluate_monitor_on,
-    evaluate_monitor_streaming_on, AdversaryScenario, ChurnScenario, FleetScenario,
+    evaluate, evaluate_classifier, AdversaryScenario, ChurnScenario, Evaluation, FleetScenario,
     NetworkFaultScenario, PersistentAnomalyScenario, RecordedScenario, Scenario, ScenarioScore,
-    SimScenario,
+    SimScenario, Streaming,
 };
 use anomaly_simulator::trace::Trace;
 use anomaly_simulator::{DestinationModel, FleetSpec, ScenarioConfig};
@@ -264,20 +263,15 @@ fn main() {
         // Network scenarios additionally score the serve crate's alert
         // pipeline (page precision/recall against the truth spans); the
         // engine byte-equality assertion below then covers the alert fold.
-        let (paper, threaded) = match entry.alert_shape {
-            Some(shape) => (
-                evaluate_monitor_alerts_on(&spec, &run, Engine::Sequential, shape)
-                    .expect("sequential evaluation succeeds"),
-                evaluate_monitor_alerts_on(&spec, &run, Engine::Threaded { workers }, shape)
-                    .expect("threaded evaluation succeeds"),
-            ),
-            None => (
-                evaluate_monitor_on(&spec, &run, Engine::Sequential)
-                    .expect("sequential evaluation succeeds"),
-                evaluate_monitor_on(&spec, &run, Engine::Threaded { workers })
-                    .expect("threaded evaluation succeeds"),
-            ),
+        let score = |engine| {
+            let evaluation = Evaluation {
+                alerts: entry.alert_shape,
+                ..Evaluation::new(engine)
+            };
+            evaluate(&spec, &run, &evaluation).expect("paper evaluation succeeds")
         };
+        let paper = score(Engine::Sequential);
+        let threaded = score(Engine::Threaded { workers });
         assert_eq!(
             paper.metrics_json(),
             threaded.metrics_json(),
@@ -303,8 +297,8 @@ fn main() {
 
         let kmeans = KMeansClassifier::new(entry.kmeans_k, tau, 1);
         let tess = TessellationClassifier::new(entry.tess_cells, tau);
-        let km_score = evaluate_classifier_on(&spec, &run, &kmeans);
-        let tess_score = evaluate_classifier_on(&spec, &run, &tess);
+        let km_score = evaluate_classifier(&spec, &run, &kmeans);
+        let tess_score = evaluate_classifier(&spec, &run, &tess);
 
         eprintln!(
             concat!(
@@ -373,10 +367,13 @@ fn main() {
         let run = streamed_scenario
             .generate()
             .expect("the scenario generates");
-        let batch = evaluate_monitor_on(&spec, &run, Engine::Sequential)
+        let batch = evaluate(&spec, &run, &Evaluation::new(Engine::Sequential))
             .expect("batch evaluation succeeds");
-        let streamed = evaluate_monitor_streaming_on(&spec, &run, Engine::Sequential, 4242, 0.0, 1)
-            .expect("streaming evaluation succeeds");
+        let streaming = Evaluation {
+            streaming: Some(Streaming::shuffled(4242)),
+            ..Evaluation::new(Engine::Sequential)
+        };
+        let streamed = evaluate(&spec, &run, &streaming).expect("streaming evaluation succeeds");
         assert_eq!(
             batch.metrics_json(),
             streamed.metrics_json(),

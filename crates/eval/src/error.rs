@@ -20,8 +20,9 @@ pub enum EvalError {
         /// What was wrong.
         reason: String,
     },
-    /// A persisted log could not be read or is not an evaluation capture
-    /// (missing step-map record, unreadable file).
+    /// A persisted log is not an evaluation capture (missing step-map
+    /// record), or the run it should be scored against churns membership,
+    /// so its device keys no longer name ground-truth devices.
     Log {
         /// What was wrong.
         reason: String,

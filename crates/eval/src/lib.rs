@@ -14,11 +14,15 @@
 //!   ([`ChurnScenario`]), long-lived anomalies with flapping devices
 //!   ([`PersistentAnomalyScenario`]), and recorded traces
 //!   ([`RecordedScenario`]) — behind one deterministic `generate()`;
-//! * [`evaluate_monitor`] drives the v2
+//! * [`evaluate`] drives the v2
 //!   [`Monitor`](anomaly_characterization::pipeline::Monitor) over a
-//!   scenario via `Monitor::run_scenario` and scores every verdict against
-//!   the ground truth with the per-class confusion matrices of
-//!   [`anomaly_simulator::score`];
+//!   generated run and scores every verdict against the ground truth with
+//!   the per-class confusion matrices of [`anomaly_simulator::score`]. One
+//!   [`Evaluation`] describes the drive: the engine, batch `observe` or a
+//!   shuffled, possibly lossy [`Streaming`] feed, and optional alert
+//!   scoring through the serve crate's sink;
+//! * [`record_log`] is the same drive with an event log captured on the
+//!   side, and [`replay_log`] scores such a capture offline;
 //! * [`evaluate_classifier`] scores the k-means and tessellation baselines
 //!   (`anomaly-baselines`) on the *same* generated runs, so accuracy
 //!   comparisons are apples to apples;
@@ -31,12 +35,26 @@
 //! ```
 //! use anomaly_baselines::TessellationClassifier;
 //! use anomaly_characterization::pipeline::Engine;
-//! use anomaly_eval::{evaluate_classifier, evaluate_monitor, NetworkFaultScenario};
+//! use anomaly_eval::{
+//!     evaluate, evaluate_classifier, Evaluation, NetworkFaultScenario, Scenario, Streaming,
+//! };
 //!
 //! let scenario = NetworkFaultScenario::small_mixed("dslam-vs-cpe", 42, 3);
-//! let paper = evaluate_monitor(&scenario, Engine::Sequential)?;
-//! let tess = evaluate_classifier(&scenario, &TessellationClassifier::new(16, 3))?;
+//! let (spec, run) = (scenario.spec(), scenario.generate()?);
+//! let paper = evaluate(&spec, &run, &Evaluation::new(Engine::Sequential))?;
+//! let tess = evaluate_classifier(&spec, &run, &TessellationClassifier::new(16, 3));
 //! assert!(paper.macro_f1() >= tess.macro_f1());
+//!
+//! // The same run streamed device by device, in shuffled order, with the
+//! // alert layer scored on the side.
+//! let streamed = Evaluation {
+//!     streaming: Some(Streaming::shuffled(7)),
+//!     alerts: Some(scenario.config.shape),
+//!     ..Evaluation::new(Engine::Sequential)
+//! };
+//! let streamed = evaluate(&spec, &run, &streamed)?;
+//! assert_eq!(streamed.confusion, paper.confusion);
+//! assert!(streamed.alerts.is_some());
 //! # Ok::<(), anomaly_eval::EvalError>(())
 //! ```
 
@@ -51,12 +69,11 @@ mod workloads;
 
 pub use error::EvalError;
 pub use runner::{
-    evaluate_classifier, evaluate_classifier_on, evaluate_log, evaluate_log_on, evaluate_monitor,
-    evaluate_monitor_alerts_on, evaluate_monitor_on, evaluate_monitor_streaming,
-    evaluate_monitor_streaming_on, record_monitor_log, AlertQuality, InstantScore, ScenarioScore,
+    evaluate, evaluate_classifier, record_log, replay_log, AlertQuality, Evaluation, InstantScore,
+    ScenarioScore, Streaming,
 };
 pub use scenario::{ChurnEvent, Scenario, ScenarioRun, ScenarioSpec};
 pub use workloads::{
     AdversaryScenario, ChurnScenario, FleetScenario, NetworkFaultScenario,
-    PersistentAnomalyScenario, RecordedScenario, SimScenario, StreamingScenario,
+    PersistentAnomalyScenario, RecordedScenario, SimScenario,
 };

@@ -2,17 +2,17 @@
 //! baseline, and score the verdicts against the ground truth.
 
 use crate::error::EvalError;
-use crate::scenario::{Scenario, ScenarioRun, ScenarioSpec};
-use crate::workloads::StreamingScenario;
+use crate::scenario::{ScenarioRun, ScenarioSpec};
 use anomaly_baselines::Classifier;
 use anomaly_characterization::pipeline::{
-    read_log, Engine, EventDeltaKind, EventLog, Monitor, MonitorBuilder, Report, StalenessPolicy,
+    read_log, Engine, EventDeltaKind, EventLog, Monitor, MonitorBuilder, MonitorError, Report,
+    StalenessPolicy,
 };
 use anomaly_characterization::store::{Dec, Enc};
 use anomaly_core::{AnomalyClass, DeviceSet};
 use anomaly_detectors::{ThresholdDetector, VectorDetector};
 use anomaly_network::Topology;
-use anomaly_qos::DeviceId;
+use anomaly_qos::{DeviceId, Snapshot};
 use anomaly_serve::{AlertActionKind, AlertConfig, AlertSink, KeyMap};
 use anomaly_simulator::score::{self, Confusion, EventConfusion, EventSpan};
 use rand::rngs::StdRng;
@@ -151,8 +151,9 @@ impl AlertQuality {
 pub struct ScenarioScore {
     /// Scenario name (from [`ScenarioSpec::name`]).
     pub scenario: String,
-    /// Method label (`paper-sequential`, `paper-threaded-4`, or the
-    /// baseline's [`Classifier::name`]).
+    /// Method label (`paper-sequential`, `paper-threaded-4`,
+    /// `paper-streaming-sequential`, or the baseline's
+    /// [`Classifier::name`]).
     pub method: String,
     /// Steps scored.
     pub steps: usize,
@@ -165,7 +166,7 @@ pub struct ScenarioScore {
     /// Per-step breakdown.
     pub instants: Vec<InstantScore>,
     /// Alert-pipeline quality, when the method was scored through the
-    /// serve crate's alert sink ([`evaluate_monitor_alerts_on`]).
+    /// serve crate's alert sink ([`Evaluation::alerts`]).
     pub alerts: Option<AlertQuality>,
 }
 
@@ -350,189 +351,337 @@ fn spans_from_step_classes(per_step: &[Vec<(DeviceId, AnomalyClass)>]) -> Vec<Ev
     score::link_event_spans(grouped.iter().map(|g| g.iter()))
 }
 
-/// Evaluates the paper's pipeline on a scenario: builds a [`Monitor`] from
-/// the scenario's spec (threshold detectors at the spec's delta), drives
-/// it over the generated run — applying churn between segments — and
-/// scores every per-step report against the ground truth.
+/// How [`evaluate`] drives the evaluation monitor over a run: the engine
+/// that characterizes, how each snapshot reaches the monitor, and whether
+/// the sealed reports are also folded through an alert sink.
 ///
-/// The resulting metrics are engine-independent: any [`Engine`] produces
+/// Every combination runs through the same loop, so the metrics stay
+/// engine-independent (only [`ScenarioScore::method`] differs) and a
+/// lossless [`Streaming`] feed scores byte-identically to the batch one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Evaluation {
+    /// Characterization engine of the monitor.
+    pub engine: Engine,
+    /// Replay each snapshot through `ingest` + `seal` instead of
+    /// `observe`; `None` feeds whole snapshots.
+    pub streaming: Option<Streaming>,
+    /// Fold every sealed report — bridging observations included, exactly
+    /// the epoch stream a live serve loop sees — through an [`AlertSink`]
+    /// over an ISP tree of this shape (cores, aggregations per core,
+    /// DSLAMs per aggregation, gateways per DSLAM; the scenario population
+    /// must equal the resulting gateway count) and score the notification
+    /// stream into [`ScenarioScore::alerts`].
+    pub alerts: Option<(usize, usize, usize, usize)>,
+}
+
+impl Evaluation {
+    /// Batch replay on `engine`, without alert scoring.
+    pub fn new(engine: Engine) -> Self {
+        Evaluation {
+            engine,
+            streaming: None,
+            alerts: None,
+        }
+    }
+
+    /// The method label of the resulting scores: `paper-sequential`,
+    /// `paper-threaded-4`, or `paper-streaming-…` for streamed replays.
+    fn method(&self) -> String {
+        let paper = match self.streaming {
+            Some(_) => "paper-streaming",
+            None => "paper",
+        };
+        match self.engine {
+            Engine::Sequential => format!("{paper}-sequential"),
+            Engine::Threaded { workers } => format!("{paper}-threaded-{workers}"),
+        }
+    }
+}
+
+/// Streaming replay: each snapshot is decomposed into per-device
+/// `(key, measurements)` updates, shuffled with a seed-fixed RNG,
+/// optionally dropped, ingested one by one, and sealed once.
+///
+/// With `drop_probability == 0` the replay is byte-identical to the batch
+/// path (`crates/eval/tests/streaming_equivalence.rs` pins this across
+/// every workload). With drops the monitor runs under
+/// `StalenessPolicy::CarryForward { max_age }`, and the score quantifies
+/// how gracefully accuracy degrades under report loss.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Streaming {
+    /// Seed of the arrival-order shuffle (and the drop draws).
+    pub shuffle_seed: u64,
+    /// Per-update probability of losing the report, in `[0, 1)`. Only
+    /// devices with an already-sealed position are ever dropped, so the
+    /// carry-forward policy always has a row to bridge with.
+    pub drop_probability: f64,
+    /// Carry-forward bound handed to the monitor when drops are enabled.
+    pub max_age: u64,
+}
+
+impl Streaming {
+    /// Lossless streaming replay (shuffle only).
+    pub fn shuffled(shuffle_seed: u64) -> Self {
+        Streaming {
+            shuffle_seed,
+            drop_probability: 0.0,
+            max_age: 1,
+        }
+    }
+}
+
+/// How one snapshot reaches the monitor and becomes a sealed report.
+enum Feed {
+    /// One `observe` call.
+    Batch,
+    /// Shuffled, possibly lossy `ingest` calls, then one `seal`.
+    Stream {
+        rng: StdRng,
+        drop_probability: f64,
+        /// Keys with at least one sealed position: only they can be
+        /// dropped (carry-forward needs a row to bridge with).
+        established: BTreeSet<u64>,
+    },
+}
+
+impl Feed {
+    fn new(streaming: Option<Streaming>) -> Self {
+        match streaming {
+            None => Feed::Batch,
+            Some(s) => Feed::Stream {
+                rng: StdRng::seed_from_u64(s.shuffle_seed),
+                drop_probability: s.drop_probability,
+                established: BTreeSet::new(),
+            },
+        }
+    }
+
+    fn seal(&mut self, monitor: &mut Monitor, snapshot: &Snapshot) -> Result<Report, EvalError> {
+        let Feed::Stream {
+            rng,
+            drop_probability,
+            established,
+        } = self
+        else {
+            return Ok(monitor.observe(snapshot.clone())?);
+        };
+        if snapshot.len() != monitor.population() {
+            return Err(MonitorError::PopulationMismatch {
+                expected: monitor.population(),
+                actual: snapshot.len(),
+            }
+            .into());
+        }
+        let mut updates: Vec<(u64, Vec<f64>)> = snapshot
+            .iter()
+            .zip(monitor.keys())
+            .map(|((_, p), key)| (key.0, p.coords().to_vec()))
+            .collect();
+        updates.shuffle(rng);
+        for (key, row) in updates {
+            if *drop_probability > 0.0
+                && established.contains(&key)
+                && rng.gen_bool(*drop_probability)
+            {
+                continue;
+            }
+            monitor.ingest(key, row)?;
+        }
+        let report = monitor.seal()?;
+        established.extend(monitor.keys().iter().map(|k| k.0));
+        Ok(report)
+    }
+
+    fn leave(&mut self, key: u64) {
+        if let Feed::Stream { established, .. } = self {
+            established.remove(&key);
+        }
+    }
+}
+
+/// The offline alert sink and the step coordinate of every page or
+/// recurrence it emitted.
+struct AlertRider {
+    sink: AlertSink,
+    notify_steps: Vec<usize>,
+}
+
+impl AlertRider {
+    fn new((cores, aggs, dslams, gateways): (usize, usize, usize, usize)) -> Self {
+        // Offline scoring never throttles: the bucket refills a full
+        // notification's worth of tokens per epoch and holds a deep reserve,
+        // so the numbers measure detection and dedup, not the rate limiter.
+        let config = AlertConfig {
+            dedup_window: 16,
+            bucket_capacity: 1024,
+            refill_millitokens: 1_000_000,
+        };
+        AlertRider {
+            sink: AlertSink::new(
+                Topology::tree(cores, aggs, dslams, gateways),
+                KeyMap::GatewayIndex,
+                config,
+            ),
+            notify_steps: Vec::new(),
+        }
+    }
+
+    /// Folds one sealed report in. Bridging observations carry the
+    /// upcoming step's coordinate — their closes and recoveries belong to
+    /// the span that just ended, which the matching slack absorbs.
+    fn observe(&mut self, report: &Report, step: usize) {
+        for action in self.sink.observe(report) {
+            if matches!(action.kind, AlertActionKind::Page | AlertActionKind::Recur) {
+                self.notify_steps.push(step);
+            }
+        }
+    }
+}
+
+/// The one evaluation loop: builds the evaluation monitor, drives it over
+/// the run, and scores the per-step reports.
+///
+/// Before step `i` every `ChurnEvent` with `after_step < i` is applied.
+/// A step whose `before` does not chain onto the previous step's `after`
+/// (the first step, a recording gap, or a scenario built from a freshly
+/// reset world) first feeds `before` as a bridging observation, whose
+/// report goes to the riders but is not scored. Chaining is judged from
+/// the run, not from the monitor's sealed state: a lossy seal carries
+/// stale rows, and comparing against it would misread every step after
+/// the first drop as a gap. For a lossless feed the two checks coincide.
+///
+/// Every sealed report, bridging ones included, is handed to the alert
+/// rider and to `on_seal`. Returns the score, the per-step reports
+/// (index-aligned with `run.steps`) and the final monitor.
+fn drive(
+    spec: &ScenarioSpec,
+    run: &ScenarioRun,
+    evaluation: &Evaluation,
+    mut on_seal: impl FnMut(&Monitor, &Report) -> Result<(), EvalError>,
+) -> Result<(ScenarioScore, Vec<Report>, Monitor), EvalError> {
+    let mut monitor = build_monitor(spec, evaluation)?;
+    let mut feed = Feed::new(evaluation.streaming);
+    let mut alerts = evaluation.alerts.map(AlertRider::new);
+    let mut churn = run.churn.iter().peekable();
+    let mut reports: Vec<Report> = Vec::with_capacity(run.steps.len());
+    for (i, step) in run.steps.iter().enumerate() {
+        while let Some(event) = churn.next_if(|event| event.after_step < i) {
+            for &key in &event.leaves {
+                monitor.leave(key)?;
+                feed.leave(key);
+            }
+            for &key in &event.joins {
+                monitor.join(key)?;
+            }
+        }
+        let mut ride = |monitor: &Monitor, report: &Report| {
+            if let Some(rider) = &mut alerts {
+                rider.observe(report, i);
+            }
+            on_seal(monitor, report)
+        };
+        if i == 0 || run.steps[i - 1].pair.after() != step.pair.before() {
+            let bridging = feed.seal(&mut monitor, step.pair.before())?;
+            ride(&monitor, &bridging)?;
+        }
+        let report = feed.seal(&mut monitor, step.pair.after())?;
+        ride(&monitor, &report)?;
+        reports.push(report);
+    }
+    let mut score = score_reports(spec, run, evaluation.method(), &reports);
+    score.alerts = alerts.map(|rider| alert_quality(spec, run, &rider.sink, &rider.notify_steps));
+    Ok((score, reports, monitor))
+}
+
+/// Evaluates the paper's pipeline on a generated run: drives the standard
+/// evaluation monitor (threshold detectors at the spec's delta) over the
+/// run as `evaluation` describes — applying churn between steps — and
+/// scores every per-step report against the ground truth, on the device
+/// axis, the event axis and, when [`Evaluation::alerts`] is set, the
+/// alert axis.
+///
+/// The metrics are engine-independent: any [`Engine`] produces
 /// byte-identical [`ScenarioScore::metrics_json`] (only the method label
 /// differs), which `tests/engine_determinism.rs` pins down.
 ///
 /// # Errors
 ///
-/// Propagates generator and monitor failures.
-///
-/// [`Monitor`]: anomaly_characterization::pipeline::Monitor
-pub fn evaluate_monitor(
-    scenario: &dyn Scenario,
-    engine: Engine,
-) -> Result<ScenarioScore, EvalError> {
-    evaluate_monitor_on(&scenario.spec(), &scenario.generate()?, engine)
-}
-
-/// [`evaluate_monitor`] over a pre-generated run — use this to score
-/// several engines on one `generate()` call (generation of a large fleet
-/// dwarfs the scoring itself).
-///
-/// # Errors
-///
-/// Propagates monitor failures.
-pub fn evaluate_monitor_on(
+/// Propagates monitor failures (including `MonitorError::Ingest` when a
+/// streamed drop streak exceeds [`Streaming::max_age`]).
+pub fn evaluate(
     spec: &ScenarioSpec,
     run: &ScenarioRun,
-    engine: Engine,
+    evaluation: &Evaluation,
 ) -> Result<ScenarioScore, EvalError> {
-    let reports = drive_monitor(spec, run, engine)?;
-    let method = match engine {
-        Engine::Sequential => "paper-sequential".to_string(),
-        Engine::Threaded { workers } => format!("paper-threaded-{workers}"),
-    };
-    Ok(score_reports(spec, run, method, &reports))
-}
-
-/// Drives the standard evaluation monitor over a run (applying churn
-/// between segments) and returns the per-step reports.
-fn drive_monitor(
-    spec: &ScenarioSpec,
-    run: &ScenarioRun,
-    engine: Engine,
-) -> Result<Vec<Report>, EvalError> {
-    let mut monitor = build_monitor(spec, engine, StalenessPolicy::Reject)?;
-    let mut reports: Vec<Report> = Vec::with_capacity(run.steps.len());
-    let mut next = 0usize;
-    for churn in &run.churn {
-        let end = (churn.after_step + 1).clamp(next, run.steps.len());
-        if next < end {
-            reports.extend(monitor.run_scenario(&run.steps[next..end])?);
-            next = end;
-        }
-        for &key in &churn.leaves {
-            monitor.leave(key)?;
-        }
-        for &key in &churn.joins {
-            monitor.join(key)?;
-        }
-    }
-    if next < run.steps.len() {
-        reports.extend(monitor.run_scenario(&run.steps[next..])?);
-    }
-    Ok(reports)
+    drive(spec, run, evaluation, |_, _| Ok(())).map(|(score, ..)| score)
 }
 
 /// `Aux` record tag of an evaluation capture: the payload maps each
 /// scenario step to the sealed-epoch instant its report carried, which is
-/// what lets [`evaluate_log_on`] translate the log's epoch-coordinate
-/// events back into the step coordinates the ground truth speaks.
+/// what lets [`replay_log`] translate the log's epoch-coordinate events
+/// back into the step coordinates the ground truth speaks.
 const EVAL_AUX_TAG: &[u8; 4] = b"EVL1";
 
-/// [`evaluate_monitor_on`] that additionally persists the run into an
-/// [`EventLog`] on `sink`: one summary record per sealed epoch (bridging
-/// epochs included — exactly the stream a live daemon writes), every
-/// closed event as it closes, a step-map `Aux` record, and the still-open
-/// events at the end. Returns the live score together with the finished
-/// writer; [`evaluate_log_on`] replays the log offline and reproduces the
-/// score's event cell.
+/// [`evaluate`] that additionally persists the run into an [`EventLog`]
+/// on `sink`: one summary record per sealed epoch (bridging epochs
+/// included — exactly the stream a live daemon writes), every closed
+/// event as it closes, a step-map `Aux` record, and the still-open events
+/// at the end. Returns the live score together with the finished writer;
+/// [`replay_log`] replays the log offline and reproduces the score's
+/// event cell.
 ///
 /// # Errors
 ///
 /// Propagates monitor failures and log I/O failures.
-pub fn record_monitor_log<W: std::io::Write>(
+pub fn record_log<W: std::io::Write>(
     spec: &ScenarioSpec,
     run: &ScenarioRun,
-    engine: Engine,
+    evaluation: &Evaluation,
     sink: W,
 ) -> Result<(ScenarioScore, W), EvalError> {
-    let mut monitor = build_monitor(spec, engine, StalenessPolicy::Reject)?;
     let mut log = EventLog::create(sink)?;
-    let mut reports: Vec<Report> = Vec::with_capacity(run.steps.len());
-    let mut step_epochs: Vec<u64> = Vec::with_capacity(run.steps.len());
-
-    fn feed_logged<W: std::io::Write>(
-        monitor: &mut Monitor,
-        log: &mut EventLog<W>,
-        reports: &mut Vec<Report>,
-        step_epochs: &mut Vec<u64>,
-        steps: &[anomaly_simulator::trace::TraceStep],
-    ) -> Result<(), EvalError> {
-        for step in steps {
-            if monitor.last_snapshot() != Some(step.pair.before()) {
-                let bridging = monitor.observe(step.pair.before().clone())?;
-                log.record_seal(monitor, &bridging)?;
-            }
-            let report = monitor.observe(step.pair.after().clone())?;
-            log.record_seal(monitor, &report)?;
-            step_epochs.push(report.instant());
-            reports.push(report);
-        }
-        Ok(())
-    }
-
-    let mut next = 0usize;
-    for churn in &run.churn {
-        let end = (churn.after_step + 1).clamp(next, run.steps.len());
-        if next < end {
-            feed_logged(
-                &mut monitor,
-                &mut log,
-                &mut reports,
-                &mut step_epochs,
-                &run.steps[next..end],
-            )?;
-            next = end;
-        }
-        for &key in &churn.leaves {
-            monitor.leave(key)?;
-        }
-        for &key in &churn.joins {
-            monitor.join(key)?;
-        }
-    }
-    if next < run.steps.len() {
-        feed_logged(
-            &mut monitor,
-            &mut log,
-            &mut reports,
-            &mut step_epochs,
-            &run.steps[next..],
-        )?;
-    }
-
+    let (score, reports, monitor) = drive(spec, run, evaluation, |monitor, report| {
+        Ok(log.record_seal(monitor, report)?)
+    })?;
+    let step_epochs: Vec<u64> = reports.iter().map(Report::instant).collect();
     let mut aux = Enc::new();
     aux.bytes(EVAL_AUX_TAG);
     aux.u64s(&step_epochs);
     log.append_aux(&aux.into_bytes())?;
-    let writer = log.finish(&monitor)?;
-
-    let method = match engine {
-        Engine::Sequential => "paper-sequential".to_string(),
-        Engine::Threaded { workers } => format!("paper-threaded-{workers}"),
-    };
-    Ok((score_reports(spec, run, method, &reports), writer))
+    Ok((score, log.finish(&monitor)?))
 }
 
-/// Replays a persisted event/summary log through the event-scoring
+/// Replays a log captured by [`record_log`] through the event-scoring
 /// machinery: the log's event records are translated from sealed-epoch
 /// coordinates into step coordinates via the capture's step-map `Aux`
 /// record and scored against the run's ground-truth spans, reproducing
-/// the `events` cell a live [`evaluate_monitor_on`] run commits to
+/// the `events` cell the live [`evaluate`] run commits to
 /// `BENCH_eval.json`.
 ///
-/// Device keys are assumed dense and stable (`DeviceKey(k)` ↔ the dense
-/// `DeviceId(k)` the ground truth speaks), which holds for every
-/// workbench scenario; under membership churn the key→slot mapping
-/// shifts and event cells are not comparable.
+/// Device keys must be the dense ids the ground truth speaks
+/// (`DeviceKey(k)` ↔ `DeviceId(k)`). That holds for every fixed-fleet
+/// scenario but not under membership churn, where joiners take the
+/// vacated slots under new keys — so churned runs are refused.
 ///
 /// # Errors
 ///
-/// [`EvalError::Log`] when the log is not an evaluation capture (no
-/// step-map record); monitor-level errors when the log is corrupt or
-/// truncated.
-pub fn evaluate_log_on<R: std::io::Read>(
+/// [`EvalError::Log`] when the run churns membership or the log is not an
+/// evaluation capture (no step-map record); monitor-level errors when the
+/// log is corrupt or truncated.
+pub fn replay_log<R: std::io::Read>(
     spec: &ScenarioSpec,
     run: &ScenarioRun,
     source: R,
 ) -> Result<EventConfusion, EvalError> {
+    if let Some(event) = run.churn.first() {
+        return Err(EvalError::Log {
+            reason: format!(
+                "the run churns membership (first change after step {}): joiners reuse \
+                 vacated slots under new keys, so log keys no longer name ground-truth devices",
+                event.after_step
+            ),
+        });
+    }
     let persisted = read_log(source)?;
     let step_epochs = persisted
         .aux
@@ -548,7 +697,7 @@ pub fn evaluate_log_on<R: std::io::Read>(
         })
         .ok_or_else(|| EvalError::Log {
             reason: "log holds no evaluation step-map record \
-                     (was it captured by record_monitor_log?)"
+                     (was it captured by record_log?)"
                 .to_string(),
         })?;
     let mut spans: Vec<EventSpan> = Vec::new();
@@ -583,139 +732,6 @@ pub fn evaluate_log_on<R: std::io::Read>(
         });
     }
     Ok(score::score_events(&truth_spans(spec, run), &spans))
-}
-
-/// Reads a log written by [`record_monitor_log`] from `path`, regenerates
-/// the scenario, and scores the log's events against the ground truth —
-/// the offline counterpart of a live evaluation's `events` cell.
-///
-/// # Errors
-///
-/// [`EvalError::Log`] on an unreadable file or a log without a step-map
-/// record; generator and monitor errors otherwise.
-pub fn evaluate_log(
-    path: impl AsRef<std::path::Path>,
-    scenario: &dyn Scenario,
-) -> Result<EventConfusion, EvalError> {
-    let path = path.as_ref();
-    let file = std::fs::File::open(path).map_err(|e| EvalError::Log {
-        reason: format!("cannot open {}: {e}", path.display()),
-    })?;
-    let run = scenario.generate()?;
-    evaluate_log_on(&scenario.spec(), &run, std::io::BufReader::new(file))
-}
-
-/// [`evaluate_monitor_on`] plus alert-pipeline quality: every sealed
-/// report — the per-step ones *and* the bridging observations
-/// `run_scenario` discards — is folded through an [`AlertSink`] over the
-/// scenario's ISP tree (`shape` = cores, aggregations per core, DSLAMs
-/// per aggregation, gateways per DSLAM — the scenario population must
-/// equal the resulting gateway count), exactly the epoch stream a live
-/// serve loop would see, and the resulting notification stream is scored
-/// against the ground-truth event spans.
-///
-/// The metrics stay engine-independent: the sink consumes only report
-/// deltas, which are byte-identical across engines.
-///
-/// # Errors
-///
-/// Propagates monitor failures.
-pub fn evaluate_monitor_alerts_on(
-    spec: &ScenarioSpec,
-    run: &ScenarioRun,
-    engine: Engine,
-    shape: (usize, usize, usize, usize),
-) -> Result<ScenarioScore, EvalError> {
-    let (cores, aggs, dslams, gateways) = shape;
-    // Offline scoring never throttles: the bucket refills a full
-    // notification's worth of tokens per epoch and holds a deep reserve,
-    // so the numbers measure detection and dedup, not the rate limiter.
-    let config = AlertConfig {
-        dedup_window: 16,
-        bucket_capacity: 1024,
-        refill_millitokens: 1_000_000,
-    };
-    let mut sink = AlertSink::new(
-        Topology::tree(cores, aggs, dslams, gateways),
-        KeyMap::GatewayIndex,
-        config,
-    );
-    let mut monitor = build_monitor(spec, engine, StalenessPolicy::Reject)?;
-    let mut reports: Vec<Report> = Vec::with_capacity(run.steps.len());
-    // Step coordinate of every page/recurrence notification. Bridging
-    // observations carry the upcoming step's coordinate — their closes
-    // and recoveries belong to the span that just ended, which the
-    // matching slack below absorbs.
-    let mut notify_steps: Vec<usize> = Vec::new();
-
-    fn feed_steps(
-        monitor: &mut Monitor,
-        sink: &mut AlertSink,
-        reports: &mut Vec<Report>,
-        notify_steps: &mut Vec<usize>,
-        steps: &[anomaly_simulator::trace::TraceStep],
-        base: usize,
-    ) -> Result<(), EvalError> {
-        for (offset, step) in steps.iter().enumerate() {
-            if monitor.last_snapshot() != Some(step.pair.before()) {
-                let bridging = monitor.observe(step.pair.before().clone())?;
-                note_pages(sink.observe(&bridging), base + offset, notify_steps);
-            }
-            let report = monitor.observe(step.pair.after().clone())?;
-            note_pages(sink.observe(&report), base + offset, notify_steps);
-            reports.push(report);
-        }
-        Ok(())
-    }
-
-    let mut next = 0usize;
-    for churn in &run.churn {
-        let end = (churn.after_step + 1).clamp(next, run.steps.len());
-        if next < end {
-            feed_steps(
-                &mut monitor,
-                &mut sink,
-                &mut reports,
-                &mut notify_steps,
-                &run.steps[next..end],
-                next,
-            )?;
-            next = end;
-        }
-        for &key in &churn.leaves {
-            monitor.leave(key)?;
-        }
-        for &key in &churn.joins {
-            monitor.join(key)?;
-        }
-    }
-    if next < run.steps.len() {
-        feed_steps(
-            &mut monitor,
-            &mut sink,
-            &mut reports,
-            &mut notify_steps,
-            &run.steps[next..],
-            next,
-        )?;
-    }
-
-    let method = match engine {
-        Engine::Sequential => "paper-sequential".to_string(),
-        Engine::Threaded { workers } => format!("paper-threaded-{workers}"),
-    };
-    let mut score = score_reports(spec, run, method, &reports);
-    score.alerts = Some(alert_quality(spec, run, &sink, &notify_steps));
-    Ok(score)
-}
-
-/// Records the step coordinate of each page/recurrence in `actions`.
-fn note_pages(actions: Vec<anomaly_serve::AlertAction>, step: usize, out: &mut Vec<usize>) {
-    for action in actions {
-        if matches!(action.kind, AlertActionKind::Page | AlertActionKind::Recur) {
-            out.push(step);
-        }
-    }
 }
 
 /// Steps of slack when matching a notification to a truth span: repairs
@@ -756,18 +772,20 @@ fn alert_quality(
     }
 }
 
-/// Builds the standard evaluation monitor for a scenario spec.
-fn build_monitor(
-    spec: &ScenarioSpec,
-    engine: Engine,
-    staleness: StalenessPolicy,
-) -> Result<Monitor, EvalError> {
+/// Builds the standard evaluation monitor for a scenario spec. Lossy
+/// streaming runs under carry-forward staleness; everything else rejects
+/// missing rows.
+fn build_monitor(spec: &ScenarioSpec, evaluation: &Evaluation) -> Result<Monitor, EvalError> {
+    let staleness = match evaluation.streaming {
+        Some(s) if s.drop_probability > 0.0 => StalenessPolicy::CarryForward { max_age: s.max_age },
+        _ => StalenessPolicy::Reject,
+    };
     let services = spec.services;
     let delta = spec.detector_delta;
     Ok(MonitorBuilder::new()
         .params(spec.params)
         .services(services)
-        .engine(engine)
+        .engine(evaluation.engine)
         .staleness(staleness)
         // Debounce 1 absorbs exactly the single discarded bridging epoch a
         // non-chained scenario inserts between steps, so "consecutive
@@ -809,207 +827,13 @@ fn score_reports(
     aggregate(spec.clone(), method, per_step, events)
 }
 
-/// Evaluates the paper's pipeline over a scenario replayed through the
-/// **streaming** front-end: each step's snapshot is decomposed into
-/// per-device `(key, measurements)` updates, shuffled with the adapter's
-/// seed-fixed RNG, optionally dropped, ingested one by one, and sealed —
-/// then scored exactly like [`evaluate_monitor`].
-///
-/// With [`StreamingScenario::drop_probability`]` == 0` the resulting
-/// metrics are byte-identical to the batch path (asserted here — the run
-/// fails loudly if the equivalence ever breaks); with drops the monitor
-/// runs under `StalenessPolicy::CarryForward` and the score quantifies the
-/// degradation.
-///
-/// # Errors
-///
-/// Propagates generator and monitor failures (including
-/// `MonitorError::Ingest` when a drop streak exceeds
-/// [`StreamingScenario::max_age`]).
-pub fn evaluate_monitor_streaming<S: Scenario>(
-    scenario: &StreamingScenario<S>,
-    engine: Engine,
-) -> Result<ScenarioScore, EvalError> {
-    let spec = scenario.spec();
-    let run = scenario.generate()?;
-    let streamed = evaluate_monitor_streaming_on(
-        &spec,
-        &run,
-        engine,
-        scenario.shuffle_seed,
-        scenario.drop_probability,
-        scenario.max_age,
-    )?;
-    if scenario.drop_probability == 0.0 {
-        let batch = evaluate_monitor_on(&spec, &run, engine)?;
-        assert_eq!(
-            batch.metrics_json(),
-            streamed.metrics_json(),
-            "{}: lossless streaming replay diverged from the batch path",
-            spec.name
-        );
-    }
-    Ok(streamed)
-}
-
-/// [`evaluate_monitor_streaming`] over a pre-generated run.
-///
-/// # Errors
-///
-/// Propagates monitor failures.
-pub fn evaluate_monitor_streaming_on(
-    spec: &ScenarioSpec,
-    run: &ScenarioRun,
-    engine: Engine,
-    shuffle_seed: u64,
-    drop_probability: f64,
-    max_age: u64,
-) -> Result<ScenarioScore, EvalError> {
-    let staleness = if drop_probability > 0.0 {
-        StalenessPolicy::CarryForward { max_age }
-    } else {
-        StalenessPolicy::Reject
-    };
-    let mut monitor = build_monitor(spec, engine, staleness)?;
-    let mut rng = StdRng::seed_from_u64(shuffle_seed);
-    // Keys with at least one sealed position: only they can be dropped
-    // (carry-forward needs a row to bridge with).
-    let mut established: BTreeSet<u64> = BTreeSet::new();
-
-    /// Streams one snapshot's rows into the monitor (shuffled, lossy for
-    /// established devices) and seals the epoch.
-    fn stream_snapshot(
-        monitor: &mut Monitor,
-        rng: &mut StdRng,
-        established: &mut BTreeSet<u64>,
-        snapshot: &anomaly_qos::Snapshot,
-        drop_probability: f64,
-    ) -> Result<Report, EvalError> {
-        let keys = monitor.keys().to_vec();
-        let mut updates: Vec<(u64, Vec<f64>)> = snapshot
-            .iter()
-            .map(|(id, p)| (keys[id.index()].0, p.coords().to_vec()))
-            .collect();
-        updates.shuffle(rng);
-        for (key, row) in updates {
-            if drop_probability > 0.0
-                && established.contains(&key)
-                && rng.gen_bool(drop_probability)
-            {
-                continue;
-            }
-            monitor.ingest(key, row)?;
-        }
-        let report = monitor.seal()?;
-        established.extend(monitor.keys().iter().map(|k| k.0));
-        Ok(report)
-    }
-
-    // Whether each step chains onto the previous one, judged from the
-    // run itself (after of step i-1 == before of step i) rather than from
-    // the monitor's sealed state: a lossy seal carries stale rows, and
-    // comparing against it would misread every step after the first drop
-    // as a recording gap (feeding spurious bridging epochs and double
-    // drop-draws). For a lossless replay the two checks coincide, so the
-    // batch-path equivalence is unchanged.
-    let chained: Vec<bool> = run
-        .steps
-        .iter()
-        .enumerate()
-        .map(|(i, step)| i > 0 && run.steps[i - 1].pair.after() == step.pair.before())
-        .collect();
-
-    let mut reports: Vec<Report> = Vec::with_capacity(run.steps.len());
-    let stream_steps = |monitor: &mut Monitor,
-                        rng: &mut StdRng,
-                        established: &mut BTreeSet<u64>,
-                        steps: &[anomaly_simulator::trace::TraceStep],
-                        base: usize|
-     -> Result<Vec<Report>, EvalError> {
-        let mut out = Vec::with_capacity(steps.len());
-        for (offset, step) in steps.iter().enumerate() {
-            if !chained[base + offset] {
-                // Gap-bridging observation, discarded like `run_scenario`'s.
-                stream_snapshot(
-                    monitor,
-                    rng,
-                    established,
-                    step.pair.before(),
-                    drop_probability,
-                )?;
-            }
-            out.push(stream_snapshot(
-                monitor,
-                rng,
-                established,
-                step.pair.after(),
-                drop_probability,
-            )?);
-        }
-        Ok(out)
-    };
-
-    let mut next = 0usize;
-    for churn in &run.churn {
-        let end = (churn.after_step + 1).clamp(next, run.steps.len());
-        if next < end {
-            reports.extend(stream_steps(
-                &mut monitor,
-                &mut rng,
-                &mut established,
-                &run.steps[next..end],
-                next,
-            )?);
-            next = end;
-        }
-        for &key in &churn.leaves {
-            monitor.leave(key)?;
-            established.remove(&key);
-        }
-        for &key in &churn.joins {
-            monitor.join(key)?;
-        }
-    }
-    if next < run.steps.len() {
-        reports.extend(stream_steps(
-            &mut monitor,
-            &mut rng,
-            &mut established,
-            &run.steps[next..],
-            next,
-        )?);
-    }
-
-    let method = match engine {
-        Engine::Sequential => "paper-streaming-sequential".to_string(),
-        Engine::Threaded { workers } => format!("paper-streaming-threaded-{workers}"),
-    };
-    Ok(score_reports(spec, run, method, &reports))
-}
-
-/// Evaluates a centralized baseline on the identical scenario: each step's
+/// Evaluates a centralized baseline on a generated run: each step's
 /// ground-truth abnormal set is handed to the classifier (its classical
 /// operating assumption — it needs the abnormal set collected at a
 /// management node), and its answers are scored with the same confusion
-/// types.
-///
-/// # Errors
-///
-/// Propagates generator failures.
+/// types. Score several baselines and [`evaluate`] calls on one
+/// `generate()` so every method sees the same steps.
 pub fn evaluate_classifier(
-    scenario: &dyn Scenario,
-    classifier: &dyn Classifier,
-) -> Result<ScenarioScore, EvalError> {
-    Ok(evaluate_classifier_on(
-        &scenario.spec(),
-        &scenario.generate()?,
-        classifier,
-    ))
-}
-
-/// [`evaluate_classifier`] over a pre-generated run — use this to score
-/// several baselines on one `generate()` call.
-pub fn evaluate_classifier_on(
     spec: &ScenarioSpec,
     run: &ScenarioRun,
     classifier: &dyn Classifier,
@@ -1037,6 +861,7 @@ pub fn evaluate_classifier_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Scenario;
     use crate::workloads::{ChurnScenario, FleetScenario, NetworkFaultScenario};
 
     use anomaly_baselines::TessellationClassifier;
@@ -1063,10 +888,19 @@ mod tests {
         }
     }
 
+    fn evaluate_scenario(scenario: &dyn Scenario, evaluation: Evaluation) -> ScenarioScore {
+        let run = scenario.generate().unwrap();
+        evaluate(&scenario.spec(), &run, &evaluation).unwrap()
+    }
+
+    fn sequential() -> Evaluation {
+        Evaluation::new(Engine::Sequential)
+    }
+
     #[test]
     fn monitor_evaluation_scores_every_truth_device() {
         let scenario = fleet_scenario();
-        let score = evaluate_monitor(&scenario, Engine::Sequential).unwrap();
+        let score = evaluate_scenario(&scenario, sequential());
         assert_eq!(score.scenario, "fleet");
         assert_eq!(score.method, "paper-sequential");
         assert_eq!(score.steps, 3);
@@ -1091,9 +925,10 @@ mod tests {
     #[test]
     fn network_evaluation_beats_or_meets_a_degenerate_baseline() {
         let scenario = NetworkFaultScenario::small_mixed("net", 3, 4);
-        let paper = evaluate_monitor(&scenario, Engine::Sequential).unwrap();
+        let paper = evaluate_scenario(&scenario, sequential());
         let degenerate = TessellationClassifier::new(1, 3);
-        let baseline = evaluate_classifier(&scenario, &degenerate).unwrap();
+        let run = scenario.generate().unwrap();
+        let baseline = evaluate_classifier(&scenario.spec(), &run, &degenerate);
         assert_eq!(paper.confusion.total(), baseline.confusion.total());
         assert!(
             paper.macro_f1() >= baseline.macro_f1(),
@@ -1112,7 +947,7 @@ mod tests {
             churn_devices: 25,
             churn_every: 1,
         };
-        let churned = evaluate_monitor(&scenario, Engine::Sequential).unwrap();
+        let churned = evaluate_scenario(&scenario, sequential());
         assert_eq!(churned.steps, 3);
         // Every truth device is still accounted for: joiners that flag
         // while warming are scored as missing, not dropped.
@@ -1128,24 +963,33 @@ mod tests {
 
     #[test]
     fn lossless_streaming_replay_matches_the_batch_path() {
-        let scenario = StreamingScenario::shuffled(fleet_scenario(), 77);
-        let streamed = evaluate_monitor_streaming(&scenario, Engine::Sequential).unwrap();
-        // evaluate_monitor_streaming already asserts byte equality with the
-        // batch path internally; double-check the visible surface.
-        let batch = evaluate_monitor(&scenario.inner, Engine::Sequential).unwrap();
+        let streamed = evaluate_scenario(
+            &fleet_scenario(),
+            Evaluation {
+                streaming: Some(Streaming::shuffled(77)),
+                ..sequential()
+            },
+        );
+        let batch = evaluate_scenario(&fleet_scenario(), sequential());
         assert_eq!(batch.metrics_json(), streamed.metrics_json());
         assert_eq!(streamed.method, "paper-streaming-sequential");
     }
 
     #[test]
     fn lossy_streaming_replay_still_scores_every_truth_device() {
-        let scenario = StreamingScenario {
-            inner: fleet_scenario(),
+        let scenario = fleet_scenario();
+        let lossy = Streaming {
             shuffle_seed: 78,
             drop_probability: 0.2,
             max_age: 8,
         };
-        let streamed = evaluate_monitor_streaming(&scenario, Engine::Sequential).unwrap();
+        let streamed = evaluate_scenario(
+            &scenario,
+            Evaluation {
+                streaming: Some(lossy),
+                ..sequential()
+            },
+        );
         let truth_total: u64 = scenario
             .generate()
             .unwrap()
@@ -1158,7 +1002,7 @@ mod tests {
 
     #[test]
     fn json_renderings_are_stable() {
-        let score = evaluate_monitor(&fleet_scenario(), Engine::Sequential).unwrap();
+        let score = evaluate_scenario(&fleet_scenario(), sequential());
         let json = score.to_json();
         assert!(json.contains("\"scenario\":\"fleet\""));
         assert!(json.contains("\"method\":\"paper-sequential\""));
@@ -1176,7 +1020,7 @@ mod tests {
             devices: 120,
             ..PersistentAnomalyScenario::standard("persist-eval", 31)
         };
-        let score = evaluate_monitor(&scenario, Engine::Sequential).unwrap();
+        let score = evaluate_scenario(&scenario, sequential());
         // Device-level: the well-separated cluster and flappers classify
         // cleanly.
         assert!(
@@ -1207,8 +1051,12 @@ mod tests {
         let shape = scenario.config.shape;
         let run = scenario.generate().unwrap();
         let spec = scenario.spec();
-        let plain = evaluate_monitor_on(&spec, &run, Engine::Sequential).unwrap();
-        let scored = evaluate_monitor_alerts_on(&spec, &run, Engine::Sequential, shape).unwrap();
+        let plain = evaluate(&spec, &run, &sequential()).unwrap();
+        let with_alerts = Evaluation {
+            alerts: Some(shape),
+            ..sequential()
+        };
+        let scored = evaluate(&spec, &run, &with_alerts).unwrap();
         // The alert fold rides along without disturbing the base metrics.
         assert_eq!(plain.confusion, scored.confusion);
         assert!(plain.alerts.is_none());
@@ -1231,18 +1079,29 @@ mod tests {
         let json = scored.metrics_json();
         assert!(json.contains("\"alerts\":{\"truth_events\""), "{json}");
         assert!(json.contains("\"page_f1\""), "{json}");
-        // Engine independence extends to the alert fold.
-        let threaded =
-            evaluate_monitor_alerts_on(&spec, &run, Engine::Threaded { workers: 3 }, shape)
-                .unwrap();
-        assert_eq!(scored.metrics_json(), threaded.metrics_json());
+        // Engine and feed independence extend to the alert fold: a
+        // threaded engine and a lossless stream page exactly like the
+        // sequential batch run.
+        let threaded = Evaluation {
+            engine: Engine::Threaded { workers: 3 },
+            ..with_alerts
+        };
+        let streamed = Evaluation {
+            streaming: Some(Streaming::shuffled(5)),
+            ..with_alerts
+        };
+        for variant in [threaded, streamed] {
+            let other = evaluate(&spec, &run, &variant).unwrap();
+            assert_eq!(scored.metrics_json(), other.metrics_json(), "{variant:?}");
+        }
     }
 
     #[test]
     fn baseline_event_spans_come_from_linked_step_groups() {
         let scenario = fleet_scenario();
         let baseline = TessellationClassifier::new(16, 3);
-        let score = evaluate_classifier(&scenario, &baseline).unwrap();
+        let run = scenario.generate().unwrap();
+        let score = evaluate_classifier(&scenario.spec(), &run, &baseline);
         assert!(score.events.predicted_events > 0);
         assert!(score.events.truth_events > 0);
         let json = score.metrics_json();

@@ -634,54 +634,6 @@ impl Scenario for PersistentAnomalyScenario {
     }
 }
 
-/// Replays any scenario through the monitor's streaming front-end
-/// (`ingest` + `seal`) instead of the batch `observe` path: each step's
-/// snapshot is decomposed into per-device updates, shuffled with a
-/// seed-fixed RNG, optionally dropped, and sealed once.
-///
-/// With `drop_probability == 0` the streamed replay is **byte-identical**
-/// to the batch path — same verdicts, same scores — which
-/// [`evaluate_monitor_streaming`](crate::evaluate_monitor_streaming)
-/// asserts cheaply and `crates/eval/tests/streaming_equivalence.rs` pins
-/// across every workload. With a positive drop probability, dropped
-/// devices are bridged by `StalenessPolicy::CarryForward { max_age }`,
-/// quantifying how gracefully accuracy degrades under report loss.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamingScenario<S> {
-    /// The workload being replayed.
-    pub inner: S,
-    /// Seed of the arrival-order shuffle (and the drop draws).
-    pub shuffle_seed: u64,
-    /// Per-update probability of losing the report, in `[0, 1)`. Only
-    /// devices with an already-sealed position are ever dropped, so the
-    /// carry-forward policy always has a row to bridge with.
-    pub drop_probability: f64,
-    /// Carry-forward bound handed to the monitor when drops are enabled.
-    pub max_age: u64,
-}
-
-impl<S: Scenario> StreamingScenario<S> {
-    /// Wraps a scenario for lossless streaming replay (shuffle only).
-    pub fn shuffled(inner: S, shuffle_seed: u64) -> Self {
-        StreamingScenario {
-            inner,
-            shuffle_seed,
-            drop_probability: 0.0,
-            max_age: 1,
-        }
-    }
-}
-
-impl<S: Scenario> Scenario for StreamingScenario<S> {
-    fn spec(&self) -> ScenarioSpec {
-        self.inner.spec()
-    }
-
-    fn generate(&self) -> Result<ScenarioRun, EvalError> {
-        self.inner.generate()
-    }
-}
-
 /// Replay of a recorded trace as a scenario — regression fixtures and
 /// "send me the scenario that broke" workflows, scored like any live
 /// workload.

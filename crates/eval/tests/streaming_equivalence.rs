@@ -7,9 +7,8 @@
 use anomaly_characterization::pipeline::Engine;
 use anomaly_core::Params;
 use anomaly_eval::{
-    evaluate_monitor_on, evaluate_monitor_streaming_on, AdversaryScenario, ChurnScenario,
-    FleetScenario, NetworkFaultScenario, RecordedScenario, Scenario, SimScenario,
-    StreamingScenario,
+    evaluate, AdversaryScenario, ChurnScenario, Evaluation, FleetScenario, NetworkFaultScenario,
+    RecordedScenario, Scenario, SimScenario, Streaming,
 };
 use anomaly_simulator::trace::Trace;
 use anomaly_simulator::{FleetSpec, ScenarioConfig};
@@ -81,7 +80,7 @@ fn every_scenario_streams_byte_identically_to_the_batch_path() {
         let spec = scenario.spec();
         let run = scenario.generate().unwrap();
         for engine in [Engine::Sequential, Engine::Threaded { workers: 3 }] {
-            let batch = evaluate_monitor_on(&spec, &run, engine).unwrap();
+            let batch = evaluate(&spec, &run, &Evaluation::new(engine)).unwrap();
             assert!(
                 batch.confusion.total() > 0,
                 "{}: scenario must score something",
@@ -89,8 +88,11 @@ fn every_scenario_streams_byte_identically_to_the_batch_path() {
             );
             // Two different shuffle seeds: arrival order must never show.
             for seed in [7u64, 12345] {
-                let streamed =
-                    evaluate_monitor_streaming_on(&spec, &run, engine, seed, 0.0, 1).unwrap();
+                let streaming = Evaluation {
+                    streaming: Some(Streaming::shuffled(seed)),
+                    ..Evaluation::new(engine)
+                };
+                let streamed = evaluate(&spec, &run, &streaming).unwrap();
                 assert_eq!(
                     batch.metrics_json(),
                     streamed.metrics_json(),
@@ -100,16 +102,4 @@ fn every_scenario_streams_byte_identically_to_the_batch_path() {
             }
         }
     }
-}
-
-#[test]
-fn the_streaming_adapter_delegates_spec_and_generation() {
-    let inner = small_fleet("stream-wrap", 47);
-    let wrapped = StreamingScenario::shuffled(inner.clone(), 9);
-    assert_eq!(wrapped.spec(), inner.spec());
-    assert_eq!(
-        wrapped.generate().unwrap().steps.len(),
-        inner.generate().unwrap().steps.len()
-    );
-    assert_eq!(wrapped.drop_probability, 0.0);
 }

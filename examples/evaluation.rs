@@ -6,7 +6,7 @@
 use anomaly_baselines::{KMeansClassifier, TessellationClassifier};
 use anomaly_characterization::pipeline::Engine;
 use anomaly_eval::{
-    evaluate_classifier, evaluate_monitor, NetworkFaultScenario, Scenario, ScenarioScore,
+    evaluate, evaluate_classifier, Evaluation, NetworkFaultScenario, Scenario, ScenarioScore,
     SimScenario,
 };
 use anomaly_simulator::score::TruthClass;
@@ -22,7 +22,7 @@ fn print_score(score: &ScenarioScore) {
     );
 }
 
-fn evaluate(scenario: &dyn Scenario) -> Result<(), Box<dyn std::error::Error>> {
+fn compare(scenario: &dyn Scenario) -> Result<(), Box<dyn std::error::Error>> {
     let spec = scenario.spec();
     println!(
         "{} — {} devices, {} services, r = {}, tau = {}",
@@ -32,11 +32,13 @@ fn evaluate(scenario: &dyn Scenario) -> Result<(), Box<dyn std::error::Error>> {
         spec.params.radius(),
         spec.params.tau()
     );
-    let paper = evaluate_monitor(scenario, Engine::Sequential)?;
+    // One generated run, scored by every method.
+    let run = scenario.generate()?;
+    let paper = evaluate(&spec, &run, &Evaluation::new(Engine::Sequential))?;
     let kmeans = KMeansClassifier::new(8, spec.params.tau(), 1);
     let tess = TessellationClassifier::new(16, spec.params.tau());
-    let km_score = evaluate_classifier(scenario, &kmeans)?;
-    let tess_score = evaluate_classifier(scenario, &tess)?;
+    let km_score = evaluate_classifier(&spec, &run, &kmeans);
+    let tess_score = evaluate_classifier(&spec, &run, &tess);
     print_score(&paper);
     print_score(&km_score);
     print_score(&tess_score);
@@ -60,11 +62,11 @@ fn evaluate(scenario: &dyn Scenario) -> Result<(), Box<dyn std::error::Error>> {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An ISP access tree with one DSLAM outage and one CPE fault per step:
     // the paper's motivating deployment.
-    evaluate(&NetworkFaultScenario::small_mixed("network-mixed", 42, 4))?;
+    compare(&NetworkFaultScenario::small_mixed("network-mixed", 42, 4))?;
 
     // The Section VII-A Monte-Carlo protocol at the paper's operating
     // point.
-    evaluate(&SimScenario::paper("sim-paper", 42, 4))?;
+    compare(&SimScenario::paper("sim-paper", 42, 4))?;
 
     Ok(())
 }

@@ -1,65 +1,14 @@
-//! Batch/replay entry points: drive recorded scenario traces through the
-//! same engine that serves live snapshots.
+//! Trace replay: drive a recorded scenario trace through the same engine
+//! that serves live snapshots. Scoring a generated scenario against its
+//! ground truth (one report per step, bridging observations discarded,
+//! churn between steps) is `anomaly-eval`'s job, not the monitor's.
 
 use super::error::MonitorError;
 use super::monitor::Monitor;
 use super::report::Report;
-use anomaly_simulator::trace::{Trace, TraceStep};
+use anomaly_simulator::trace::Trace;
 
 impl Monitor {
-    /// Checks a batch of steps against the monitor's shape before anything
-    /// is fed, so a malformed batch can never leave the monitor partially
-    /// advanced.
-    fn validate_steps(&self, steps: &[TraceStep]) -> Result<(), MonitorError> {
-        for step in steps {
-            if step.pair.dim() != self.services() {
-                return Err(MonitorError::ServiceMismatch {
-                    expected: self.services(),
-                    actual: step.pair.dim(),
-                });
-            }
-            if step.pair.len() != self.population() {
-                return Err(MonitorError::PopulationMismatch {
-                    expected: self.population(),
-                    actual: step.pair.len(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Drives the monitor over a batch of scenario steps, returning exactly
-    /// one [`Report`] per step — the evaluation bridge behind
-    /// `anomaly-eval`'s scenario workbench.
-    ///
-    /// Each step's interval is observed as `(before, after)`: when a step's
-    /// `before` snapshot differs from the monitor's last-seen one (a
-    /// recording gap, or a scenario whose steps are built from a freshly
-    /// reset world), `before` is fed first as a bridging observation and
-    /// its report is **discarded** — only the per-step `after` reports are
-    /// returned, index-aligned with `steps`, so callers can score
-    /// `reports[i]` against `steps[i].truth` directly. Use
-    /// [`Monitor::run_trace`] when every produced report matters.
-    ///
-    /// # Errors
-    ///
-    /// * [`MonitorError::ServiceMismatch`] — a step's snapshots differ from
-    ///   the monitor's service count;
-    /// * [`MonitorError::PopulationMismatch`] — a step's snapshots cover a
-    ///   different number of devices than the fleet.
-    ///
-    /// All steps are validated before the first observation.
-    pub fn run_scenario(&mut self, steps: &[TraceStep]) -> Result<Vec<Report>, MonitorError> {
-        self.validate_steps(steps)?;
-        let mut reports = Vec::with_capacity(steps.len());
-        for step in steps {
-            if self.last_snapshot() != Some(step.pair.before()) {
-                let _bridging = self.observe(step.pair.before().clone())?;
-            }
-            reports.push(self.observe(step.pair.after().clone())?);
-        }
-        Ok(reports)
-    }
     /// Replays a recorded [`Trace`] through the monitor, one observation
     /// per distinct snapshot, returning the report of every observed
     /// instant.
@@ -94,19 +43,22 @@ impl Monitor {
     /// the monitor partially advanced. (`Trace` fields are public — a
     /// hand-built trace may well disagree with its own header.)
     pub fn run_trace(&mut self, trace: &Trace) -> Result<Vec<Report>, MonitorError> {
-        if trace.dim != self.services() {
-            return Err(MonitorError::ServiceMismatch {
-                expected: self.services(),
-                actual: trace.dim,
-            });
+        let header = std::iter::once((trace.dim, trace.n));
+        let steps = trace.steps.iter().map(|s| (s.pair.dim(), s.pair.len()));
+        for (dim, n) in header.chain(steps) {
+            if dim != self.services() {
+                return Err(MonitorError::ServiceMismatch {
+                    expected: self.services(),
+                    actual: dim,
+                });
+            }
+            if n != self.population() {
+                return Err(MonitorError::PopulationMismatch {
+                    expected: self.population(),
+                    actual: n,
+                });
+            }
         }
-        if trace.n != self.population() {
-            return Err(MonitorError::PopulationMismatch {
-                expected: self.population(),
-                actual: trace.n,
-            });
-        }
-        self.validate_steps(&trace.steps)?;
         let mut reports = Vec::with_capacity(trace.steps.len() + 1);
         for step in &trace.steps {
             if self.last_snapshot() != Some(step.pair.before()) {

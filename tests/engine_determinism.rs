@@ -195,7 +195,7 @@ fn engines_agree_on_a_generated_fleet_with_clusters() {
 #[test]
 fn evaluation_scores_are_byte_identical_across_engines() {
     use anomaly_eval::{
-        evaluate_monitor, ChurnScenario, FleetScenario, NetworkFaultScenario, Scenario,
+        evaluate, ChurnScenario, Evaluation, FleetScenario, NetworkFaultScenario, Scenario,
     };
 
     let network = NetworkFaultScenario::small_mixed("det-network", 29, 3);
@@ -222,15 +222,17 @@ fn evaluation_scores_are_byte_identical_across_engines() {
     };
     let scenarios: [&dyn Scenario; 2] = [&network, &churn];
     for scenario in scenarios {
-        let name = scenario.spec().name;
-        let baseline = evaluate_monitor(scenario, Engine::Sequential).unwrap();
+        let (spec, run) = (scenario.spec(), scenario.generate().unwrap());
+        let name = &spec.name;
+        let score = |engine| evaluate(&spec, &run, &Evaluation::new(engine)).unwrap();
+        let baseline = score(Engine::Sequential);
         assert!(
             baseline.confusion.total() > 0,
             "{name}: the scenario must score something"
         );
         let reference = baseline.metrics_json();
         for workers in 1..=8 {
-            let threaded = evaluate_monitor(scenario, Engine::Threaded { workers }).unwrap();
+            let threaded = score(Engine::Threaded { workers });
             assert_eq!(
                 reference,
                 threaded.metrics_json(),

@@ -152,7 +152,7 @@ fn dimensioning_bounds_the_empirical_false_massive_rate() {
     use anomaly_characterization::pipeline::Engine;
     use anomaly_characterization::simulator::score::{Prediction, TruthClass};
     use anomaly_characterization::simulator::DestinationModel;
-    use anomaly_eval::{evaluate_monitor, SimScenario};
+    use anomaly_eval::{evaluate, Evaluation, Scenario, SimScenario};
 
     let (r, tau) = (0.03, 3usize);
     let mut config = ScenarioConfig::paper_defaults(777);
@@ -166,7 +166,8 @@ fn dimensioning_bounds_the_empirical_false_massive_rate() {
         steps,
         detector_delta: 0.02,
     };
-    let score = evaluate_monitor(&scenario, Engine::Sequential).unwrap();
+    let run = scenario.generate().unwrap();
+    let score = evaluate(&scenario.spec(), &run, &Evaluation::new(Engine::Sequential)).unwrap();
 
     let truth_isolated = score.confusion.truth_total(TruthClass::Isolated);
     assert!(truth_isolated > 500, "enough samples to estimate a rate");
