@@ -26,6 +26,10 @@
 //! the batch `observe` path with full snapshots (the cluster re-jumps
 //! every epoch there, since batch epochs feed every detector).
 //!
+//! The `churn` row compares the headline workload with and without one
+//! far leave and one join per steady epoch (minimum of per-repetition
+//! medians, `INGEST_BENCH_REPS` each); the grid must stay incremental.
+//!
 //! Knobs (environment variables):
 //!
 //! * `INGEST_BENCH_DEVICES` — fleet size (default 50000)
@@ -143,11 +147,16 @@ fn median(xs: &[u64]) -> u64 {
 
 /// Streams the workload through one monitor: calm warm-up, the cluster's
 /// jump (cold characterized epoch, timed separately), then `steps` steady
-/// delta epochs of `changed` rotating calm updates.
-fn run_streaming(devices: usize, steps: usize, changed: usize) -> RunStats {
+/// delta epochs of `changed` rotating calm updates — with `churn`, after a
+/// far tail device leaves and a new one joins (and reports).
+fn run_streaming(devices: usize, steps: usize, changed: usize, churn: bool) -> RunStats {
     assert!(
         devices > CLUSTER + changed,
         "fleet of {devices} too small for cluster {CLUSTER} + churn {changed}"
+    );
+    assert!(
+        !churn || CLUSTER + steps * changed + steps < devices,
+        "fleet of {devices} too small to keep the leavers out of the rotating window"
     );
     let mut m = monitor(devices);
     // Two calm full epochs: detectors learn the base rows.
@@ -184,6 +193,14 @@ fn run_streaming(devices: usize, steps: usize, changed: usize) -> RunStats {
     let mut epochs: Vec<EpochStats> = Vec::with_capacity(steps);
     for step in 0..steps {
         let start = (step * changed) % calm;
+        if churn {
+            let joiner = (devices + step) as u64;
+            m.leave((devices - 1 - step) as u64)
+                .expect("the leaver is in the fleet");
+            m.join(joiner).expect("the joiner is new");
+            m.ingest(joiner, base_row(devices + step))
+                .expect("the joiner's row is valid");
+        }
         let ingest_start = Instant::now();
         m.ingest_many((0..changed).map(|i| {
             let k = CLUSTER + (start + i) % calm;
@@ -213,7 +230,10 @@ fn run_streaming(devices: usize, steps: usize, changed: usize) -> RunStats {
             CLUSTER,
             "epoch {step}: the frozen cluster must stay abnormal"
         );
-        assert_eq!(report.straggler_count(), devices - changed);
+        assert_eq!(
+            report.straggler_count(),
+            devices - changed - usize::from(churn)
+        );
         epochs.push(EpochStats {
             ingest_micros,
             seal_micros,
@@ -274,12 +294,71 @@ fn run_batch(devices: usize, steps: usize, changed: usize) -> Vec<u64> {
     observe_micros
 }
 
+/// `reps` independent runs of one configuration, summarized by the
+/// noise-robust lower envelope: the minimum of the per-run steady medians
+/// (one slow repetition can neither fake a slope nor hide one).
+struct Envelope {
+    devices: usize,
+    changed: usize,
+    warmup_seal_micros: u64,
+    steady_min: u64,
+    steady_median: u64,
+    steady_max: u64,
+    /// Steady epochs run (each updated the grid incrementally).
+    epochs: usize,
+}
+
+impl Envelope {
+    fn measure(devices: usize, steps: usize, changed: usize, churn: bool, reps: usize) -> Self {
+        let runs: Vec<RunStats> = (0..reps)
+            .map(|_| run_streaming(devices, steps, changed, churn))
+            .collect();
+        let medians: Vec<u64> = runs.iter().map(|r| median(&r.steady_seals())).collect();
+        let seals: Vec<u64> = runs.iter().flat_map(|r| r.steady_seals()).collect();
+        let warmups: Vec<u64> = runs.iter().map(|r| r.warmup_seal_micros).collect();
+        Envelope {
+            devices,
+            changed,
+            warmup_seal_micros: min(&warmups),
+            steady_min: min(&seals),
+            steady_median: min(&medians),
+            steady_max: max(&seals),
+            epochs: seals.len(),
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            concat!(
+                "{{\"devices\":{},\"changed\":{},\"warmup_seal_micros\":{},",
+                "\"steady_seal_micros_min\":{},\"steady_seal_micros_median\":{},",
+                "\"steady_seal_micros_max\":{},\"epochs\":{}}}"
+            ),
+            self.devices,
+            self.changed,
+            self.warmup_seal_micros,
+            self.steady_min,
+            self.steady_median,
+            self.steady_max,
+            self.epochs,
+        )
+    }
+}
+
 fn main() {
     let devices = env_usize("INGEST_BENCH_DEVICES", 50_000);
     let steps = env_usize("INGEST_BENCH_STEPS", 12).max(1);
     let permille = env_usize("INGEST_BENCH_CHANGED_PERMILLE", 10);
     let changed = ((devices * permille) / 1000).max(1);
     let reps = env_usize("INGEST_BENCH_REPS", 3).max(1);
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=7"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
     let sweep_sizes: Vec<usize> = std::env::var("INGEST_BENCH_SWEEP")
         .unwrap_or_else(|_| "10000,50000,100000".to_string())
         .split(',')
@@ -292,7 +371,7 @@ fn main() {
     );
 
     // --- Headline run: streaming deltas, then the batch comparison.
-    let headline = run_streaming(devices, steps, changed);
+    let headline = run_streaming(devices, steps, changed, false);
     let observe_micros = run_batch(devices, steps, changed);
 
     let seals = headline.steady_seals();
@@ -305,37 +384,11 @@ fn main() {
         min(&observe_micros),
     );
 
-    // --- Fleet-size sweep at fixed churn: the flatness evidence. Every
-    // point runs `reps` independent repetitions; the reported median is
-    // the minimum per-repetition median, so a single noisy repetition
-    // cannot fake a slope (or hide one — the envelope is per-point).
-    struct SweepPoint {
-        devices: usize,
-        changed: usize,
-        warmup_seal_micros: u64,
-        steady_min: u64,
-        steady_median: u64,
-        steady_max: u64,
-    }
-    let mut sweep_points: Vec<SweepPoint> = Vec::new();
+    // --- Fleet-size sweep at fixed churn: the flatness evidence.
+    let mut sweep_points: Vec<Envelope> = Vec::new();
     for &size in &sweep_sizes {
         eprintln!("sweep: {size} devices at {SWEEP_CHANGED} changed/epoch, {reps} reps");
-        let runs: Vec<RunStats> = (0..reps)
-            .map(|_| run_streaming(size, steps, SWEEP_CHANGED))
-            .collect();
-        let medians: Vec<u64> = runs.iter().map(|r| median(&r.steady_seals())).collect();
-        let all_seals: Vec<u64> = runs.iter().flat_map(|r| r.steady_seals()).collect();
-        sweep_points.push(SweepPoint {
-            devices: size,
-            changed: SWEEP_CHANGED,
-            warmup_seal_micros: min(&runs
-                .iter()
-                .map(|r| r.warmup_seal_micros)
-                .collect::<Vec<_>>()),
-            steady_min: min(&all_seals),
-            steady_median: min(&medians),
-            steady_max: max(&all_seals),
-        });
+        sweep_points.push(Envelope::measure(size, steps, SWEEP_CHANGED, false, reps));
     }
     sweep_points.sort_by_key(|r| r.devices);
     let sweep_flat_ratio = match (sweep_points.first(), sweep_points.last()) {
@@ -352,6 +405,21 @@ fn main() {
     }
     eprintln!("sweep flat ratio (largest/smallest steady median): {sweep_flat_ratio:.2}");
 
+    // --- Churn row: the headline workload with and without one leave and
+    // one join per steady epoch.
+    let calm = Envelope::measure(devices, steps, changed, false, reps);
+    let churned = Envelope::measure(devices, steps, changed, true, reps);
+    let churn_ratio = churned.steady_median as f64 / calm.steady_median.max(1) as f64;
+    eprintln!(
+        "churn: steady median {} µs with a leave and a join per epoch vs {} µs without (ratio {churn_ratio:.2})",
+        churned.steady_median, calm.steady_median
+    );
+    let churn_json = format!(
+        "{{\"leaves_per_epoch\":1,\"joins_per_epoch\":1,\"ratio\":{churn_ratio:.3},\"churned\":{},\"no_churn\":{}}}",
+        churned.json(),
+        calm.json(),
+    );
+
     let epochs_json: Vec<String> = headline
         .epochs
         .iter()
@@ -362,35 +430,22 @@ fn main() {
             )
         })
         .collect();
-    let sweep_json: Vec<String> = sweep_points
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "{{\"devices\":{},\"changed\":{},\"warmup_seal_micros\":{},",
-                    "\"steady_seal_micros_min\":{},\"steady_seal_micros_median\":{},",
-                    "\"steady_seal_micros_max\":{}}}"
-                ),
-                r.devices,
-                r.changed,
-                r.warmup_seal_micros,
-                r.steady_min,
-                r.steady_median,
-                r.steady_max,
-            )
-        })
-        .collect();
+    let sweep_json: Vec<String> = sweep_points.iter().map(Envelope::json).collect();
     let json = format!(
         concat!(
-            "{{\"bench\":\"ingest\",\"devices\":{},\"services\":{},",
+            "{{\"bench\":\"ingest\",\"commit\":\"{}\",\"available_parallelism\":{},",
+            "\"reps\":{},\"devices\":{},\"services\":{},",
             "\"cluster\":{},\"changed_per_epoch\":{},\"steps\":{},",
             "\"warmup_seal_micros\":{},",
             "\"seal_micros_min\":{},\"seal_micros_median\":{},\"seal_micros_max\":{},",
             "\"ingest_micros_min\":{},",
             "\"observe_full_micros_min\":{},",
             "\"sweep_reps\":{},\"sweep\":[{}],\"sweep_flat_ratio\":{:.3},",
-            "\"epochs\":[{}]}}\n"
+            "\"churn\":{},\"epochs\":[{}]}}\n"
         ),
+        commit,
+        parallelism,
+        reps,
         devices,
         SERVICES,
         CLUSTER,
@@ -409,6 +464,7 @@ fn main() {
         reps,
         sweep_json.join(","),
         sweep_flat_ratio,
+        churn_json,
         epochs_json.join(","),
     );
     std::fs::write(&out_path, json).expect("write bench output");

@@ -38,6 +38,14 @@ pub enum QosError {
         /// Population size of the snapshot.
         population: usize,
     },
+    /// A [`GridIndex`](crate::GridIndex) slot was not in the state an edit
+    /// or move required (vacant, occupied, or in another cell).
+    GridSlot {
+        /// The device id of the slot.
+        id: u32,
+        /// What the slot disagreed with.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for QosError {
@@ -63,6 +71,7 @@ impl fmt::Display for QosError {
                 f,
                 "device id {id} is out of bounds for a population of {population}"
             ),
+            QosError::GridSlot { id, reason } => write!(f, "grid slot {id}: {reason}"),
         }
     }
 }
@@ -92,6 +101,10 @@ mod tests {
             QosError::UnknownDevice {
                 id: 9,
                 population: 3,
+            },
+            QosError::GridSlot {
+                id: 2,
+                reason: "the slot is vacant",
             },
         ];
         for e in errors {

@@ -1,5 +1,9 @@
+use crate::error::QosError;
 use crate::point::{DeviceId, Point};
 use crate::snapshot::StatePair;
+
+/// The cell of a device slot that is not indexed.
+const VACANT: usize = usize::MAX;
 
 /// How [`GridIndex::apply_moves`] brought the index up to date.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -9,8 +13,9 @@ pub enum GridUpdate {
         /// Number of devices moved between buckets.
         rebucketed: usize,
     },
-    /// The incremental path was not applicable (dimension, resolution, or
-    /// population changed) and the index was rebuilt from scratch.
+    /// The index was rebuilt from scratch: its dimension, resolution or
+    /// slot count did not match the state pair (an empty index, say).
+    /// Membership changes need not force it: see [`GridIndex::insert`].
     Rebuilt,
 }
 
@@ -46,15 +51,12 @@ pub struct GridIndex {
     cell_side: f64,
     /// Space dimension.
     dim: usize,
-    /// Population the index was built over (before-positions).
-    population: usize,
     /// Flattened cell -> device ids bucketed by before-position.
     buckets: Vec<Vec<DeviceId>>,
-    /// Per device (dense ids): the flattened cell it is bucketed in.
-    cell_of: Vec<usize>,
-    /// Per device: its slot within its bucket, so incremental updates
-    /// remove in O(1) instead of scanning the bucket.
-    slot_of: Vec<usize>,
+    /// Per device slot (dense ids): the flattened cell it is bucketed in
+    /// and its place in that bucket (for O(1) removal), or [`VACANT`]. One
+    /// slot per device of the indexed pair.
+    slots: Vec<(usize, usize)>,
 }
 
 impl GridIndex {
@@ -74,10 +76,8 @@ impl GridIndex {
             cells_per_axis,
             cell_side: 1.0 / cells_per_axis as f64,
             dim,
-            population: 0,
             buckets: Vec::new(),
-            cell_of: Vec::new(),
-            slot_of: Vec::new(),
+            slots: Vec::new(),
         }
     }
 
@@ -95,12 +95,7 @@ impl GridIndex {
     }
 
     /// Re-indexes a (possibly different) state pair in place, reusing the
-    /// bucket allocations of the previous instant.
-    ///
-    /// Continuous monitors rebuild the vicinity index at every sampling
-    /// instant; after the first few instants the per-cell vectors have
-    /// reached their steady-state capacities and re-indexing allocates
-    /// nothing. The resulting index is identical to a fresh
+    /// bucket allocations. The resulting index is identical to a fresh
     /// [`GridIndex::build`].
     ///
     /// # Panics
@@ -115,20 +110,16 @@ impl GridIndex {
             bucket.clear();
         }
         self.buckets.resize_with(total_cells, Vec::new);
-        self.cell_of.clear();
-        self.slot_of.clear();
-        self.cell_of.reserve(pair.len());
-        self.slot_of.reserve(pair.len());
+        self.slots.clear();
+        self.slots.reserve(pair.len());
         for (id, p) in pair.before().iter() {
             let cell = Self::flatten(p.coords(), cells_per_axis, cell_side);
-            self.cell_of.push(cell);
-            self.slot_of.push(self.buckets[cell].len());
+            self.slots.push((cell, self.buckets[cell].len()));
             self.buckets[cell].push(id);
         }
         self.cells_per_axis = cells_per_axis;
         self.cell_side = cell_side;
         self.dim = dim;
-        self.population = pair.len();
     }
 
     /// Incrementally maintains the index across one sampling instant.
@@ -143,58 +134,168 @@ impl GridIndex {
     /// Falls back to a full [`GridIndex::rebuild`] — returning
     /// [`GridUpdate::Rebuilt`] — whenever the incremental path cannot apply:
     /// the dimension changed, `min_cell_side` implies a different cell
-    /// resolution, or the population differs from the one indexed.
+    /// resolution, or `pair` has a different number of devices than the
+    /// index has slots.
     ///
     /// The resulting index is identical to a fresh
-    /// [`GridIndex::build`]`(pair, min_cell_side)` as long as `moves` is
-    /// complete and accurate; queries remain exact either way because
-    /// candidates are always filtered on the true motion distance.
+    /// [`GridIndex::build`]`(pair, min_cell_side)`, minus the vacant
+    /// slots, as long as `moves` is complete and accurate; queries remain
+    /// exact either way because candidates are always filtered on the
+    /// true motion distance.
+    ///
+    /// # Errors
+    ///
+    /// [`QosError::UnknownDevice`] or [`QosError::GridSlot`] for a move of
+    /// a missing or vacant slot, or from outside the device's cell (an
+    /// inconsistent move list); earlier moves stay applied.
     ///
     /// # Panics
     ///
-    /// Panics if `min_cell_side` is not a positive finite number, or if a
-    /// move names a device that is not in the bucket its old position maps
-    /// to (an incomplete or inconsistent move list).
+    /// Panics if `min_cell_side` is not a positive finite number.
     pub fn apply_moves(
         &mut self,
         pair: &StatePair,
         min_cell_side: f64,
         moves: &[(DeviceId, Point, Point)],
-    ) -> GridUpdate {
+    ) -> Result<GridUpdate, QosError> {
         let cells_per_axis = Self::resolution(pair.dim(), min_cell_side);
         if pair.dim() != self.dim
             || cells_per_axis != self.cells_per_axis
-            || pair.len() != self.population
+            || pair.len() != self.slots.len()
         {
             self.rebuild(pair, min_cell_side);
-            return GridUpdate::Rebuilt;
+            return Ok(GridUpdate::Rebuilt);
         }
         let mut rebucketed = 0usize;
         for (id, old, new) in moves {
-            let from = self.cell_of[id.index()];
-            assert_eq!(
-                Self::flatten(old.coords(), self.cells_per_axis, self.cell_side),
-                from,
-                "move's old position disagrees with the cell device {id} is indexed in",
-            );
-            let to = Self::flatten(new.coords(), self.cells_per_axis, self.cell_side);
-            if from == to {
-                continue;
+            let (from, _) = self.slot(*id)?;
+            if self.cell_index(old.coords()) != from {
+                return Err(QosError::GridSlot {
+                    id: id.0,
+                    reason: "the slot is vacant or indexed outside the move's old cell",
+                });
             }
-            // O(1) removal: swap-remove the device's slot and re-point the
-            // device that swapped into it.
-            let slot = self.slot_of[id.index()];
-            let bucket = &mut self.buckets[from];
-            bucket.swap_remove(slot);
-            if let Some(&moved) = bucket.get(slot) {
-                self.slot_of[moved.index()] = slot;
+            let to = self.cell_index(new.coords());
+            if from != to {
+                self.unbucket(*id)?;
+                self.bucket(*id, to)?;
+                rebucketed += 1;
             }
-            self.cell_of[id.index()] = to;
-            self.slot_of[id.index()] = self.buckets[to].len();
-            self.buckets[to].push(*id);
-            rebucketed += 1;
         }
-        GridUpdate::Incremental { rebucketed }
+        Ok(GridUpdate::Incremental { rebucketed })
+    }
+
+    /// Indexes device `id` at `position`, in a vacant slot. With
+    /// [`GridIndex::remove`], [`GridIndex::rekey`] and [`GridIndex::resize`]
+    /// it follows membership changes of the indexed pair in place: queries
+    /// then answer as a fresh [`GridIndex::build`] of the edited pair.
+    ///
+    /// # Errors
+    ///
+    /// All four edits fail with [`QosError::UnknownDevice`] for an id past
+    /// the slots and [`QosError::GridSlot`] for an occupied slot where a
+    /// vacant one is needed, or an index never built; `insert` also with
+    /// [`QosError::DimensionMismatch`].
+    pub fn insert(&mut self, id: DeviceId, position: &Point) -> Result<(), QosError> {
+        if position.dim() != self.dim {
+            return Err(QosError::DimensionMismatch {
+                expected: self.dim,
+                actual: position.dim(),
+            });
+        }
+        self.vacant(id)?;
+        self.bucket(id, self.cell_index(position.coords()))
+    }
+
+    /// Takes device `id` out of the index, leaving its slot vacant (no-op
+    /// on a vacant slot). Vacant slots are never query candidates.
+    pub fn remove(&mut self, id: DeviceId) -> Result<(), QosError> {
+        if self.slot(id)?.0 != VACANT {
+            self.unbucket(id)?;
+        }
+        Ok(())
+    }
+
+    /// Moves slot `from` (a device in its cell, or a vacancy) to the vacant
+    /// slot `to`, leaving `from` vacant: the re-keying half of a swap-remove.
+    pub fn rekey(&mut self, from: DeviceId, to: DeviceId) -> Result<(), QosError> {
+        self.vacant(to)?;
+        if self.slot(from)?.0 != VACANT {
+            let cell = self.unbucket(from)?;
+            self.bucket(to, cell)?;
+        }
+        Ok(())
+    }
+
+    /// Sets the number of slots: new slots are vacant, and slots cut off
+    /// must be vacant already.
+    pub fn resize(&mut self, slots: usize) -> Result<(), QosError> {
+        for id in slots..self.slots.len() {
+            self.vacant(DeviceId(id as u32))?;
+        }
+        self.slots.resize(slots, (VACANT, VACANT));
+        Ok(())
+    }
+
+    /// The cell of slot `id` (or [`VACANT`]) and its place in that bucket.
+    fn slot(&self, id: DeviceId) -> Result<(usize, usize), QosError> {
+        self.slots
+            .get(id.index())
+            .copied()
+            .ok_or(QosError::UnknownDevice {
+                id: id.0,
+                population: self.slots.len(),
+            })
+    }
+
+    /// Fails unless slot `id` is vacant.
+    fn vacant(&self, id: DeviceId) -> Result<(), QosError> {
+        match self.slot(id)?.0 {
+            VACANT => Ok(()),
+            _ => Err(QosError::GridSlot {
+                id: id.0,
+                reason: "the slot is occupied",
+            }),
+        }
+    }
+
+    /// Takes an indexed device out of its bucket in O(1), swap-removing its
+    /// entry and re-pointing the one moved into it, and vacates its slot.
+    /// Returns the cell it was in.
+    fn unbucket(&mut self, id: DeviceId) -> Result<usize, QosError> {
+        let (cell, at) = self.slot(id)?;
+        let bucket = self
+            .buckets
+            .get_mut(cell)
+            .filter(|b| b.get(at) == Some(&id))
+            .ok_or(QosError::GridSlot {
+                id: id.0,
+                reason: "the slot is vacant or missing from its bucket",
+            })?;
+        bucket.swap_remove(at);
+        if let Some(&moved) = bucket.get(at) {
+            self.place(moved, (cell, at));
+        }
+        self.place(id, (VACANT, VACANT));
+        Ok(cell)
+    }
+
+    /// Appends device `id`, whose slot exists, to the bucket of `cell`.
+    fn bucket(&mut self, id: DeviceId, cell: usize) -> Result<(), QosError> {
+        let bucket = self.buckets.get_mut(cell).ok_or(QosError::GridSlot {
+            id: id.0,
+            reason: "the index holds no cells yet",
+        })?;
+        bucket.push(id);
+        let at = bucket.len() - 1;
+        self.place(id, (cell, at));
+        Ok(())
+    }
+
+    fn place(&mut self, id: DeviceId, slot: (usize, usize)) {
+        if let Some(s) = self.slots.get_mut(id.index()) {
+            *s = slot;
+        }
     }
 
     /// Flattened index of the cell `coords` falls in, under the current
@@ -545,7 +646,10 @@ mod tests {
         let dirty = [built.cell_index(&[0.5, 0.52])].into_iter().collect();
         assert_eq!(empty.expand_cells(&dirty, 1), built.expand_cells(&dirty, 1));
         // The first update cannot be incremental: nothing is indexed yet.
-        assert_eq!(empty.apply_moves(&pair, 0.06, &[]), GridUpdate::Rebuilt);
+        assert_eq!(
+            empty.apply_moves(&pair, 0.06, &[]).unwrap(),
+            GridUpdate::Rebuilt
+        );
         assert_eq!(
             empty.neighbors_both(&pair, DeviceId(1), 0.5),
             built.neighbors_both(&pair, DeviceId(1), 0.5)
@@ -631,7 +735,7 @@ mod tests {
             .filter(|((_, a), (_, b))| a != b)
             .map(|((id, a), (_, b))| (id, a.clone(), b.clone()))
             .collect();
-        index.apply_moves(new, side, &moves);
+        index.apply_moves(new, side, &moves).unwrap();
         let fresh = GridIndex::build(new, side);
         for j in new.device_ids() {
             assert_eq!(
@@ -668,12 +772,12 @@ mod tests {
             new.before().position(DeviceId(0)).clone(),
         )];
         assert_eq!(
-            index.apply_moves(&new, 0.1, &moves),
+            index.apply_moves(&new, 0.1, &moves).unwrap(),
             GridUpdate::Incremental { rebucketed: 1 }
         );
         // A no-op move (same cell) is not counted.
         assert_eq!(
-            index.apply_moves(&new, 0.1, &[]),
+            index.apply_moves(&new, 0.1, &[]).unwrap(),
             GridUpdate::Incremental { rebucketed: 0 }
         );
     }
@@ -686,7 +790,10 @@ mod tests {
         );
         let mut index = GridIndex::build(&pair, 0.1);
         // A different resolution cannot be patched in place.
-        assert_eq!(index.apply_moves(&pair, 0.3, &[]), GridUpdate::Rebuilt);
+        assert_eq!(
+            index.apply_moves(&pair, 0.3, &[]).unwrap(),
+            GridUpdate::Rebuilt
+        );
         assert_eq!(
             index.cells_per_axis(),
             GridIndex::build(&pair, 0.3).cells_per_axis()
@@ -701,7 +808,10 @@ mod tests {
             vec![vec![0.1], vec![0.5], vec![0.9]],
         );
         let mut index = GridIndex::build(&old, 0.1);
-        assert_eq!(index.apply_moves(&new, 0.1, &[]), GridUpdate::Rebuilt);
+        assert_eq!(
+            index.apply_moves(&new, 0.1, &[]).unwrap(),
+            GridUpdate::Rebuilt
+        );
         let fresh = GridIndex::build(&new, 0.1);
         for j in new.device_ids() {
             assert_eq!(
@@ -712,17 +822,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "disagrees with the cell")]
     fn apply_moves_rejects_inconsistent_move_lists() {
-        let pair = pair_from(vec![vec![0.1]], vec![vec![0.1]]);
+        let pair = pair_from(vec![vec![0.1], vec![0.5]], vec![vec![0.1], vec![0.5]]);
         let mut index = GridIndex::build(&pair, 0.1);
+        let at = |x: f64| Point::new_unchecked(vec![x]);
         // Claims device 0 was at 0.9 (wrong cell).
-        let lie = vec![(
-            DeviceId(0),
-            Point::new_unchecked(vec![0.9]),
-            Point::new_unchecked(vec![0.1]),
-        )];
-        index.apply_moves(&pair, 0.1, &lie);
+        let lie = [(DeviceId(0), at(0.9), at(0.1))];
+        assert!(matches!(
+            index.apply_moves(&pair, 0.1, &lie),
+            Err(QosError::GridSlot { id: 0, .. })
+        ));
+        // A device id past the indexed slots.
+        let stranger = [(DeviceId(7), at(0.1), at(0.2))];
+        assert_eq!(
+            index.apply_moves(&pair, 0.1, &stranger),
+            Err(QosError::UnknownDevice {
+                id: 7,
+                population: 2
+            })
+        );
+        // A vacant slot.
+        index.remove(DeviceId(1)).unwrap();
+        let ghost = [(DeviceId(1), at(0.5), at(0.9))];
+        assert!(matches!(
+            index.apply_moves(&pair, 0.1, &ghost),
+            Err(QosError::GridSlot { id: 1, .. })
+        ));
     }
 
     /// The axis-resolution cap engages for `min_cell_side` far below
@@ -764,7 +889,7 @@ mod tests {
             "some nudges must stay within their capped cell"
         );
         assert_eq!(
-            index.apply_moves(&new, side, &moves),
+            index.apply_moves(&new, side, &moves).unwrap(),
             GridUpdate::Incremental {
                 rebucketed: moves.len()
             }
@@ -807,6 +932,108 @@ mod tests {
         index.neighbors_both_into(&pair, DeviceId(2), 0.06, &mut buf);
         assert!(buf.is_empty());
         assert_eq!(buf.capacity(), cap, "buffer capacity is reused");
+    }
+
+    /// Answers every vicinity query of `pair` exactly as a fresh build.
+    fn assert_matches_fresh(index: &GridIndex, pair: &StatePair, side: f64) {
+        let fresh = GridIndex::build(pair, side);
+        for j in pair.device_ids() {
+            assert_eq!(
+                index.neighbors_both(pair, j, side),
+                fresh.neighbors_both(pair, j, side),
+                "device {j:?} disagrees with a fresh build"
+            );
+        }
+    }
+
+    /// A swap-remove leave and an append join, mirrored on the snapshots
+    /// and on the index through remove/rekey/resize/insert: no rebuild,
+    /// same answers as a fresh build of the edited pair.
+    fn churn_in_place(rows: &[Vec<f64>], leaves: &[usize], joins: &[Vec<f64>], side: f64) {
+        let pair = pair_from(rows.to_vec(), rows.to_vec());
+        let mut index = GridIndex::build(&pair, side);
+        let (mut before, mut after) = pair.into_parts();
+        for (&leave, joiner) in leaves.iter().zip(joins) {
+            if !before.is_empty() {
+                let slot = DeviceId((leave % before.len()) as u32);
+                let last = DeviceId(before.len() as u32 - 1);
+                before.swap_remove_row(slot).unwrap();
+                after.swap_remove_row(slot).unwrap();
+                index.remove(slot).unwrap();
+                if slot != last {
+                    index.rekey(last, slot).unwrap();
+                }
+                index.resize(before.len()).unwrap();
+            }
+            let p = Point::new_unchecked(joiner.clone());
+            let id = before.push_row(p.clone()).unwrap();
+            after.push_row(p.clone()).unwrap();
+            index.resize(before.len()).unwrap();
+            index.insert(id, &p).unwrap();
+            let pair = StatePair::new(before, after).unwrap();
+            assert_matches_fresh(&index, &pair, side);
+            (before, after) = pair.into_parts();
+        }
+        // With nothing moved the slots still line up: the next update stays
+        // incremental.
+        let pair = StatePair::new(before, after).unwrap();
+        assert_eq!(
+            index.apply_moves(&pair, side, &[]).unwrap(),
+            GridUpdate::Incremental { rebucketed: 0 }
+        );
+    }
+
+    #[test]
+    fn insert_remove_rekey_follow_a_swap_remove_fleet() {
+        let rows = vec![
+            vec![0.10, 0.10],
+            vec![0.12, 0.11],
+            vec![0.50, 0.50],
+            vec![0.52, 0.49],
+            vec![0.90, 0.90],
+        ];
+        let joins = vec![vec![0.11, 0.12], vec![0.51, 0.51], vec![0.3, 0.7]];
+        // Leave the middle, then the last slot, then the first.
+        churn_in_place(&rows, &[2, 4, 0], &joins, 0.06);
+    }
+
+    #[test]
+    fn slot_edits_reject_inconsistent_requests() {
+        let pair = pair_from(vec![vec![0.1], vec![0.5]], vec![vec![0.1], vec![0.5]]);
+        let mut index = GridIndex::build(&pair, 0.1);
+        let at = Point::new_unchecked(vec![0.3]);
+        assert!(matches!(
+            index.insert(DeviceId(0), &at),
+            Err(QosError::GridSlot { id: 0, .. })
+        ));
+        assert!(matches!(
+            index.insert(DeviceId(2), &at),
+            Err(QosError::UnknownDevice { id: 2, .. })
+        ));
+        assert!(matches!(
+            index.insert(DeviceId(0), &Point::new_unchecked(vec![0.3, 0.3])),
+            Err(QosError::DimensionMismatch { .. })
+        ));
+        assert!(matches!(
+            index.rekey(DeviceId(0), DeviceId(1)),
+            Err(QosError::GridSlot { id: 1, .. })
+        ));
+        assert!(matches!(
+            index.resize(1),
+            Err(QosError::GridSlot { id: 1, .. })
+        ));
+        // Removing twice is harmless; the vacancy can then be cut off.
+        index.remove(DeviceId(1)).unwrap();
+        index.remove(DeviceId(1)).unwrap();
+        index.resize(1).unwrap();
+        assert!(index.remove(DeviceId(1)).is_err());
+        // An index that was never built has no cells to insert into.
+        let mut empty = GridIndex::new(1, 0.1);
+        empty.resize(1).unwrap();
+        assert!(matches!(
+            empty.insert(DeviceId(0), &at),
+            Err(QosError::GridSlot { id: 0, .. })
+        ));
     }
 
     proptest! {
@@ -866,7 +1093,7 @@ mod tests {
                 })
                 .map(|((id, a), (_, b))| (id, a.clone(), b.clone()))
                 .collect();
-            index.apply_moves(&new, radius, &moves);
+            index.apply_moves(&new, radius, &moves).unwrap();
             let fresh = GridIndex::build(&new, radius);
             for j in new.device_ids() {
                 prop_assert_eq!(
@@ -874,6 +1101,20 @@ mod tests {
                     fresh.neighbors_both(&new, j, radius)
                 );
             }
+        }
+
+        /// Any sequence of swap-remove leaves and append joins, followed
+        /// in place, answers like a fresh build of the edited pair.
+        #[test]
+        fn slot_edits_equal_fresh_build(
+            rows in proptest::collection::vec(
+                proptest::collection::vec(0.0..=1.0f64, 2), 1..30),
+            leaves in proptest::collection::vec(0usize..64, 1..8),
+            joins in proptest::collection::vec(
+                proptest::collection::vec(0.0..=1.0f64, 2), 8),
+            radius in 0.01..0.3f64,
+        ) {
+            churn_in_place(&rows, &leaves, &joins, radius);
         }
 
         /// Applying a randomized batch of moves is equivalent to a fresh

@@ -32,22 +32,7 @@ impl Snapshot {
     /// outside the unit cube.
     pub fn new(space: &QosSpace, positions: Vec<Point>) -> Result<Self, QosError> {
         for p in &positions {
-            if p.dim() != space.dim() {
-                return Err(QosError::DimensionMismatch {
-                    expected: space.dim(),
-                    actual: p.dim(),
-                });
-            }
-            if !p.is_in_unit_cube() {
-                let (index, value) = p
-                    .coords()
-                    .iter()
-                    .enumerate()
-                    .find(|(_, c)| !c.is_finite() || !(0.0..=1.0).contains(*c))
-                    .map(|(i, c)| (i, *c))
-                    .unwrap_or((0, f64::NAN));
-                return Err(QosError::CoordinateOutOfRange { index, value });
-            }
+            validate(space.dim(), p)?;
         }
         Ok(Snapshot {
             dim: space.dim(),
@@ -135,10 +120,9 @@ impl Snapshot {
     /// Extracts the sub-snapshot of `ids`, in the given order: output device
     /// `i` is input device `ids[i]`.
     ///
-    /// This is the membership-churn primitive: when a fleet gains or loses
-    /// devices between two sampling instants, the characterization interval
-    /// is defined on the *surviving cohort* — select the survivors (in a
-    /// common order) from both snapshots and pair the results.
+    /// When a fleet gains or loses devices between two sampling instants,
+    /// this pairs the devices the two snapshots have in common: select them
+    /// (in a common order) from both snapshots and pair the results.
     ///
     /// # Errors
     ///
@@ -232,34 +216,57 @@ impl Snapshot {
     ) -> Result<(), QosError> {
         let patches: Vec<(DeviceId, Point)> = patches.into_iter().collect();
         for (id, p) in &patches {
-            if id.index() >= self.positions.len() {
-                return Err(QosError::UnknownDevice {
-                    id: id.0,
-                    population: self.positions.len(),
-                });
-            }
-            if p.dim() != self.dim {
-                return Err(QosError::DimensionMismatch {
-                    expected: self.dim,
-                    actual: p.dim(),
-                });
-            }
-            if !p.is_in_unit_cube() {
-                let (index, value) = p
-                    .coords()
-                    .iter()
-                    .enumerate()
-                    .find(|(_, c)| !c.is_finite() || !(0.0..=1.0).contains(*c))
-                    .map(|(i, c)| (i, *c))
-                    .unwrap_or((0, f64::NAN));
-                return Err(QosError::CoordinateOutOfRange { index, value });
-            }
+            self.try_position(*id)?;
+            validate(self.dim, p)?;
         }
         for (id, p) in patches {
             self.positions[id.index()] = p;
         }
         Ok(())
     }
+
+    /// Appends a row for a new device, which gets id `len()`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Snapshot::new`], for an invalid point.
+    pub fn push_row(&mut self, p: Point) -> Result<DeviceId, QosError> {
+        validate(self.dim, &p)?;
+        self.positions.push(p);
+        Ok(DeviceId(self.positions.len() as u32 - 1))
+    }
+
+    /// Removes and returns row `id` the way [`Vec::swap_remove`] does: the
+    /// last row moves into slot `id`.
+    ///
+    /// # Errors
+    ///
+    /// [`QosError::UnknownDevice`] when `id` is out of bounds.
+    pub fn swap_remove_row(&mut self, id: DeviceId) -> Result<Point, QosError> {
+        self.try_position(id)?;
+        Ok(self.positions.swap_remove(id.index()))
+    }
+}
+
+/// Checks that `p` is a point of the `dim`-dimensional unit cube.
+fn validate(dim: usize, p: &Point) -> Result<(), QosError> {
+    if p.dim() != dim {
+        return Err(QosError::DimensionMismatch {
+            expected: dim,
+            actual: p.dim(),
+        });
+    }
+    if !p.is_in_unit_cube() {
+        let (index, value) = p
+            .coords()
+            .iter()
+            .enumerate()
+            .find(|(_, c)| !c.is_finite() || !(0.0..=1.0).contains(*c))
+            .map(|(i, c)| (i, *c))
+            .unwrap_or((0, f64::NAN));
+        return Err(QosError::CoordinateOutOfRange { index, value });
+    }
+    Ok(())
 }
 
 /// A pair of successive system states `(S_{k-1}, S_k)`.
@@ -475,6 +482,37 @@ mod tests {
             .patch_rows(vec![(DeviceId(0), Point::new_unchecked(vec![0.5]))])
             .unwrap_err();
         assert!(matches!(err, QosError::DimensionMismatch { .. }));
+    }
+
+    #[test]
+    fn push_and_swap_remove_rows_follow_vec_semantics() {
+        let space = QosSpace::new(1).unwrap();
+        let mut snap = Snapshot::from_rows(&space, vec![vec![0.1], vec![0.2], vec![0.3]]).unwrap();
+        assert_eq!(
+            snap.push_row(Point::new_unchecked(vec![0.4])).unwrap(),
+            DeviceId(3)
+        );
+        // The last row moves into the vacated slot.
+        assert_eq!(snap.swap_remove_row(DeviceId(0)).unwrap().coords(), &[0.1]);
+        let rows: Vec<f64> = snap.iter().map(|(_, p)| p.coords()[0]).collect();
+        assert_eq!(rows, vec![0.4, 0.2, 0.3]);
+        // Invalid requests are typed errors and change nothing.
+        assert!(matches!(
+            snap.swap_remove_row(DeviceId(3)),
+            Err(QosError::UnknownDevice {
+                id: 3,
+                population: 3
+            })
+        ));
+        assert!(matches!(
+            snap.push_row(Point::new_unchecked(vec![1.5])),
+            Err(QosError::CoordinateOutOfRange { .. })
+        ));
+        assert!(matches!(
+            snap.push_row(Point::new_unchecked(vec![0.5, 0.5])),
+            Err(QosError::DimensionMismatch { .. })
+        ));
+        assert_eq!(snap.len(), 3);
     }
 
     #[test]

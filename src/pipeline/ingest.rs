@@ -21,6 +21,12 @@
 //! are equivalent by construction (and verified byte-for-byte by
 //! `tests/ingest_equivalence.rs`).
 //!
+//! Membership churn takes the same path: [`Monitor::join`] and
+//! [`Monitor::leave`] keep every slot-aligned structure in step with the
+//! dense key order. A **newcomer** (joined since the previous seal) has no
+//! row to carry forward, so it must report (or take the `Default` row); its
+//! first row enters the change set like a mover's.
+//!
 //! ```text
 //!             ingest(key, row)            seal()
 //!   updates ─────────────────▶ open epoch ───────▶ Snapshot_k ─▶ Report_k
@@ -33,10 +39,10 @@
 
 use super::error::MonitorError;
 use super::key::DeviceKey;
-use super::monitor::{Monitor, SealDelta};
+use super::monitor::{swap_remove_slot, Monitor, SealDelta};
 use super::report::{Report, Stragglers};
 use anomaly_qos::{DeviceId, Point, Snapshot};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -140,7 +146,8 @@ impl fmt::Display for IngestError {
 
 impl Error for IngestError {}
 
-/// The open epoch: per-slot pending updates and per-slot staleness ages.
+/// The open epoch: per-slot pending updates, per-slot staleness ages, and
+/// the newcomers.
 ///
 /// Slot vectors are index-aligned with the monitor's dense key order and
 /// maintained through churn with the same swap-remove discipline as the
@@ -168,6 +175,10 @@ pub(super) struct EpochState {
     /// device can be stale and the per-slot age checks can be skipped.
     /// Raised whenever every device reports in the same epoch.
     stale_floor: u64,
+    /// Slots that joined after the previous snapshot was sealed: they have
+    /// no row in it yet, so they cannot be carried forward, and sealing
+    /// the epoch gives them their first row.
+    newcomers: BTreeSet<u32>,
 }
 
 impl EpochState {
@@ -179,11 +190,16 @@ impl EpochState {
             sealed: 0,
             last_reported: Vec::with_capacity(capacity),
             stale_floor: 0,
+            newcomers: BTreeSet::new(),
         }
     }
 
-    /// A device joined: appends its (empty) slot with age 0.
-    pub(super) fn push_slot(&mut self) {
+    /// A device joined: appends its (empty) slot with age 0, as a newcomer
+    /// when a previous snapshot exists that lacks it.
+    pub(super) fn push_slot(&mut self, newcomer: bool) {
+        if newcomer {
+            self.newcomers.insert(self.pending.len() as u32);
+        }
         self.pending.push(None);
         self.last_reported.push(self.sealed);
     }
@@ -202,6 +218,7 @@ impl EpochState {
             self.updated_slots.push(slot32);
         }
         self.last_reported.swap_remove(slot);
+        swap_remove_slot(&mut self.newcomers, slot, last as usize);
     }
 
     /// Stages an update for a slot (last write wins).
@@ -249,11 +266,17 @@ impl EpochState {
         self.sealed - self.stale_floor < max_age
     }
 
+    /// True when `slot` joined after the previous snapshot was sealed.
+    pub(super) fn is_newcomer(&self, slot: usize) -> bool {
+        self.newcomers.contains(&(slot as u32))
+    }
+
     /// Records the outcome of a sealed epoch: every slot in `fed`
     /// reported (age resets to 0), every other slot's age grows by one —
     /// implicitly, via the lazy `sealed - last_reported` representation,
-    /// so the cost is O(`fed`), not O(population).
-    pub(super) fn settle_epoch(&mut self, fed: &[u32], population: usize) {
+    /// so the cost is O(`fed`), not O(population). Returns the newcomers,
+    /// whose first row the epoch sealed.
+    pub(super) fn settle_epoch(&mut self, fed: &[u32], population: usize) -> BTreeSet<u32> {
         self.sealed += 1;
         for &slot in fed {
             if let Some(e) = self.last_reported.get_mut(slot as usize) {
@@ -266,6 +289,7 @@ impl EpochState {
         // The epoch's pending updates were consumed by snapshot assembly.
         self.updated_slots.clear();
         self.updated = 0;
+        std::mem::take(&mut self.newcomers)
     }
 
     /// Drops every pending update (ages are untouched).
@@ -280,10 +304,12 @@ impl EpochState {
     }
 
     /// Forgets the staleness history too (used by [`Monitor::reset`]).
+    /// Without a previous snapshot nobody is a newcomer.
     pub(super) fn reset(&mut self) {
         self.discard();
         self.last_reported.fill(self.sealed);
         self.stale_floor = self.sealed;
+        self.newcomers.clear();
     }
 
     /// Pending update per dense slot (checkpoint export).
@@ -315,6 +341,7 @@ impl EpochState {
         sealed: u64,
         last_reported: Vec<u64>,
         stale_floor: u64,
+        newcomers: BTreeSet<u32>,
     ) -> Self {
         let updated = pending.iter().filter(|p| p.is_some()).count();
         EpochState {
@@ -324,19 +351,9 @@ impl EpochState {
             sealed,
             last_reported,
             stale_floor,
+            newcomers,
         }
     }
-}
-
-/// How each dense slot's row of the sealed snapshot is sourced.
-enum Fill {
-    /// A fresh update arrived this epoch.
-    Update,
-    /// Carried forward from the previous snapshot (slot id *in the
-    /// previous snapshot's dense order*).
-    Carry(u32),
-    /// The policy's default row.
-    Default,
 }
 
 impl Monitor {
@@ -479,113 +496,82 @@ impl Monitor {
         // bookkeeping), never a per-slot re-derivation of this set.
         let mut fed: Vec<u32> = self.epoch.updated_slots().to_vec();
         fed.sort_unstable();
-        let steady = self.previous_snapshot().is_some()
-            && self.previous_key_order().is_none()
-            && self
-                .previous_snapshot()
-                .is_some_and(|p| p.len() == n && p.dim() == self.services());
 
         // Phases 1 & 2 — resolve silent devices, then assemble the
         // epoch's snapshot. Phase 1 is read-only: a policy failure must
         // leave the epoch open and every internal structure intact.
-        let default_point: Option<Point> = match &self.staleness {
-            StalenessPolicy::Default(row) => Some(Point::new_unchecked(row.clone())),
-            _ => None,
-        };
-        let (current, changed, moves, stragglers) = if steady {
-            let stragglers = self.resolve_silent_steady(n, &fed)?;
-            let (current, changed, moves) = self.assemble_delta(&fed, default_point.as_ref())?;
-            (current, changed, moves, stragglers)
-        } else {
-            let (plan, stragglers) = self.resolve_silent_general(n)?;
-            let current = self.assemble_fresh(&plan, default_point.as_ref())?;
-            (
-                current,
-                Vec::new(),
-                Vec::new(),
-                Stragglers::Eager(stragglers),
-            )
-        };
+        let stragglers = self.resolve_silent(n, &fed)?;
+        let (current, mut delta) = self.assemble(fed)?;
 
         // Phase 3 — settle ages and run the shared pipeline. Only slots
         // with a real update feed their detector (frozen semantics for
-        // bridged rows — see `StalenessPolicy`); the changed-row cells are
-        // computed here, while the previous snapshot is still intact, so
-        // characterization can invalidate exactly the neighbourhoods they
+        // bridged rows — see `StalenessPolicy`); the changed-row cells let
+        // characterization invalidate exactly the neighbourhoods they
         // touch.
-        let changed_cells = self.changed_cells_of(&changed, &current);
-        self.epoch.settle_epoch(&fed, n);
-        let report = self.advance(current, stragglers, SealDelta { fed, changed_cells })?;
+        delta.newcomers = self.epoch.settle_epoch(&delta.fed, n);
+        let report = self.advance(current, stragglers, &delta)?;
 
-        // Phase 4 — record the delta for the next epoch: the recycled
-        // buffer lags the new previous snapshot by exactly `changed`, and
-        // the vicinity grid owes those cell moves at its next update.
-        self.record_epoch_delta(changed, moves, steady);
+        // Phase 4 — record the delta for the next epoch.
+        self.record_epoch_delta(delta)?;
         Ok(report)
     }
 
-    /// Phase 1 for the steady-membership seal: every silent device has a
-    /// previous position at its own slot, so the policy resolves over the
+    /// Phase 1: resolves the silent devices through the policy over the
     /// *runs* of silent slots between consecutive fed slots — bulk slice
-    /// copies when no per-device age check is needed.
+    /// copies when no per-device age check is needed. A silent device
+    /// keeps its previous row at its own slot, except a newcomer (and
+    /// every device before the first seal), which has none to carry.
     ///
     /// A carried device's detector is NOT fed the carried row: state and
     /// verdict stay frozen until real data arrives (only `fed` slots reach
     /// the detectors). Re-feeding would manufacture a zero-delta
     /// observation and could clear a real alarm — see the
     /// [`StalenessPolicy`] docs for the full rationale.
-    fn resolve_silent_steady(&self, n: usize, fed: &[u32]) -> Result<Stragglers, MonitorError> {
-        enum Resolution {
-            Reject,
-            /// Default or carry-forward with the stale bound provably
-            /// unreachable: every silent device is a straggler, so the
-            /// silent runs are recorded as-is (no per-device work at all).
-            AllRuns,
-            /// Carry-forward with per-slot age checks.
-            CarryCheck {
-                max_age: u64,
-            },
-        }
-        let resolution = match &self.staleness {
-            StalenessPolicy::Reject => Resolution::Reject,
-            StalenessPolicy::Default(_) => Resolution::AllRuns,
-            StalenessPolicy::CarryForward { max_age } => {
-                if self.epoch.none_stale(*max_age) {
-                    Resolution::AllRuns
-                } else {
-                    Resolution::CarryCheck { max_age: *max_age }
-                }
+    fn resolve_silent(&self, n: usize, fed: &[u32]) -> Result<Stragglers, MonitorError> {
+        let first = self.last_snapshot().is_none();
+        // Before the first seal there is nothing to carry either.
+        let reject = match &self.staleness {
+            StalenessPolicy::Reject => true,
+            StalenessPolicy::CarryForward { .. } => first,
+            StalenessPolicy::Default(_) => false,
+        };
+        // The carry-forward bound, unless it is provably out of reach.
+        let max_age = match &self.staleness {
+            StalenessPolicy::CarryForward { max_age } if !self.epoch.none_stale(*max_age) => {
+                Some(*max_age)
             }
+            _ => None,
         };
         let keys = self.keys();
         let mut runs: Vec<(u32, u32)> = Vec::new();
-        let mut eager: Vec<DeviceKey> = Vec::new();
         let mut missing: Vec<DeviceKey> = Vec::new();
         let mut stale: Vec<DeviceKey> = Vec::new();
+        if let (StalenessPolicy::CarryForward { .. }, false) = (&self.staleness, first) {
+            // A silent newcomer has no row to carry.
+            for &slot in &self.epoch.newcomers {
+                if !self.epoch.has_update(slot as usize) {
+                    missing.push(self.key_at(slot)?);
+                }
+            }
+        }
         let mut lo = 0usize;
         for hi in fed.iter().map(|&s| s as usize).chain(std::iter::once(n)) {
             if hi > lo {
-                match resolution {
-                    Resolution::AllRuns => runs.push((lo as u32, hi as u32)),
-                    Resolution::Reject => missing.extend_from_slice(
-                        keys.get(lo..hi)
-                            .ok_or(MonitorError::internal("fed slot out of key range"))?,
-                    ),
-                    Resolution::CarryCheck { max_age } => {
-                        // `age` counts the *previously sealed* consecutive
-                        // misses, so this epoch is consecutive miss number
-                        // `age + 1`; carrying while `age < max_age` bridges
-                        // a device for exactly `max_age` consecutive epochs
-                        // (inclusive bound — see the policy's doc).
-                        let run = keys
-                            .get(lo..hi)
-                            .ok_or(MonitorError::internal("fed slot out of key range"))?;
-                        for (off, &key) in run.iter().enumerate() {
-                            if self.epoch.age(lo + off) < max_age {
-                                eager.push(key);
-                            } else {
-                                stale.push(key);
-                            }
+                let run = keys
+                    .get(lo..hi)
+                    .ok_or(MonitorError::internal("fed slot out of key range"))?;
+                runs.push((lo as u32, hi as u32));
+                if reject {
+                    missing.extend_from_slice(run);
+                } else if let Some(max_age) = max_age {
+                    // `age` counts the *previously sealed* consecutive
+                    // misses, so this epoch is consecutive miss number
+                    // `age + 1`; carrying while `age < max_age` bridges a
+                    // device for exactly `max_age` consecutive epochs
+                    // (inclusive bound — see the policy's doc).
+                    for (off, &key) in run.iter().enumerate() {
+                        if self.epoch.age(lo + off) >= max_age {
+                            stale.push(key);
                         }
                     }
                 }
@@ -597,149 +583,77 @@ impl Monitor {
                 keys: missing,
             }));
         }
-        if !stale.is_empty() {
-            let max_age = match &self.staleness {
-                StalenessPolicy::CarryForward { max_age } => *max_age,
-                // Only the carry-forward arm ever pushes into `stale`;
-                // reaching this is a bug, reported as a typed error
-                // rather than a panic (conformance C1).
-                _ => {
-                    return Err(MonitorError::internal(
-                        "only carry-forward produces stale devices",
-                    ))
-                }
-            };
+        if let (false, Some(max_age)) = (stale.is_empty(), max_age) {
             return Err(MonitorError::Ingest(IngestError::StaleDevices {
                 keys: stale,
                 max_age,
             }));
         }
-        Ok(match resolution {
-            Resolution::AllRuns => Stragglers::Lazy {
-                runs,
-                keys: self.key_order_handle(),
-                cache: std::sync::OnceLock::new(),
-            },
-            _ => Stragglers::Eager(eager),
+        // Every silent device left is bridged.
+        Ok(Stragglers {
+            runs,
+            keys: self.key_order_handle(),
+            cache: std::sync::OnceLock::new(),
         })
     }
 
-    /// Phase 1 for the first epoch and for epochs following membership
-    /// churn: silent devices are matched against the previous key order
-    /// (they may have moved slots, or have no previous position at all),
-    /// and a per-slot fill plan is produced for [`Self::assemble_fresh`].
-    #[allow(clippy::type_complexity)]
-    fn resolve_silent_general(
-        &self,
-        n: usize,
-    ) -> Result<(Vec<Fill>, Vec<DeviceKey>), MonitorError> {
-        let prev_by_key: Option<BTreeMap<DeviceKey, u32>> =
-            match (self.previous_snapshot(), self.previous_key_order()) {
-                (Some(_), Some(prev_keys)) => Some(
-                    prev_keys
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &k)| (k, i as u32))
-                        .collect(),
-                ),
-                _ => None,
-            };
-        let mut plan: Vec<Fill> = Vec::with_capacity(n);
-        let mut missing: Vec<DeviceKey> = Vec::new();
-        let mut stale: Vec<DeviceKey> = Vec::new();
-        let mut stragglers: Vec<DeviceKey> = Vec::new();
-        for slot in 0..n {
-            if self.epoch.has_update(slot) {
-                plan.push(Fill::Update);
-                continue;
-            }
-            let key = self.key_at(slot as u32)?;
-            // The device's slot in `previous`, if it has a position there.
-            let prev_slot: Option<u32> = match (self.previous_snapshot(), &prev_by_key) {
-                (None, _) => None,
-                (Some(_), None) => Some(slot as u32), // membership unchanged
-                (Some(_), Some(map)) => map.get(&key).copied(),
-            };
-            match (&self.staleness, prev_slot) {
-                (StalenessPolicy::Default(_), _) => {
-                    stragglers.push(key);
-                    plan.push(Fill::Default);
-                }
-                (_, None) => missing.push(key),
-                (StalenessPolicy::Reject, Some(_)) => missing.push(key),
-                (StalenessPolicy::CarryForward { max_age }, Some(p)) => {
-                    // Same inclusive `max_age` bound and frozen-detector
-                    // semantics as the steady path above.
-                    if self.epoch.age(slot) < *max_age {
-                        stragglers.push(key);
-                        plan.push(Fill::Carry(p));
-                    } else {
-                        stale.push(key);
-                    }
-                }
-            }
-        }
-        if !missing.is_empty() {
-            return Err(MonitorError::Ingest(IngestError::MissingDevices {
-                keys: missing,
-            }));
-        }
-        if !stale.is_empty() {
-            let max_age = match &self.staleness {
-                StalenessPolicy::CarryForward { max_age } => *max_age,
-                _ => {
-                    return Err(MonitorError::internal(
-                        "only carry-forward produces stale devices",
-                    ))
-                }
-            };
-            return Err(MonitorError::Ingest(IngestError::StaleDevices {
-                keys: stale,
-                max_age,
-            }));
-        }
-        Ok((plan, stragglers))
-    }
-
-    /// Steady-state assembly: recycle the spare buffer (or clone once when
-    /// no spare exists yet), patch only the rows that actually changed,
-    /// and report the change-set plus the grid move candidates.
+    /// Phase 2: recycles the spare buffer (or clones the previous snapshot
+    /// once when no spare exists yet), patches only the rows that actually
+    /// changed, and reports the change set plus the grid move candidates.
     ///
     /// Walks the `fed` slots only — silent rows keep their previous value
     /// (carry-forward) and cost nothing — except under the `Default`
     /// policy, where every silent row must be compared against the default
-    /// point too.
-    #[allow(clippy::type_complexity)]
-    fn assemble_delta(
-        &mut self,
-        fed: &[u32],
-        default_point: Option<&Point>,
-    ) -> Result<(Snapshot, Vec<DeviceId>, Vec<(DeviceId, Point, Point)>), MonitorError> {
+    /// point too. A newcomer's first row replaces its placeholder: it
+    /// changes like a mover arriving from nowhere. Before the first seal
+    /// every row is new and nothing counts as changed.
+    fn assemble(&mut self, fed: Vec<u32>) -> Result<(Snapshot, SealDelta), MonitorError> {
         let n = self.keys().len();
-        // Collect the rows that differ from the previous snapshot.
+        let default_point: Option<Point> = match &self.staleness {
+            StalenessPolicy::Default(row) => Some(Point::new_unchecked(row.clone())),
+            _ => None,
+        };
+        let first = self.last_snapshot().is_none();
+        // The very first seal has no snapshot to patch: the policy left no
+        // slot silent, so its rows arrive in slot order.
+        let mut rows: Vec<Point> = Vec::with_capacity(if first { n } else { 0 });
         let mut patches: Vec<(DeviceId, Point)> = Vec::new();
+        let mut changed: Vec<DeviceId> = Vec::new();
         let mut moves: Vec<(DeviceId, Point, Point)> = Vec::new();
-        let mut stage_row = |this: &mut Self, slot: usize, p: Point| -> Result<(), MonitorError> {
+        let mut changed_cells: Vec<usize> = Vec::new();
+        let mut stage_row = |this: &Self, slot: usize, p: Point| -> Result<(), MonitorError> {
             let id = DeviceId(slot as u32);
-            let prev = this.previous_snapshot().ok_or(MonitorError::internal(
-                "delta assembly requires a previous snapshot",
-            ))?;
-            if p != *prev.position(id) {
-                // Move candidates are only worth cloning when incremental
-                // grid maintenance will actually replay them (and only
-                // cell-crossing ones ever need re-bucketing).
-                if this.wants_grid_move(prev.position(id), &p) {
-                    moves.push((id, prev.position(id).clone(), p.clone()));
+            let Some(prev) = this.last_snapshot() else {
+                if slot != rows.len() {
+                    return Err(MonitorError::internal("a first seal covers every slot"));
                 }
-                patches.push((id, p));
+                rows.push(p);
+                return Ok(());
+            };
+            if this.epoch.is_newcomer(slot) {
+                changed_cells.push(this.cell_of(&p));
+            } else {
+                let old = prev.try_position(id)?;
+                if p == *old {
+                    return Ok(());
+                }
+                // Move candidates are only worth cloning when they cross a
+                // cell: only those ever need re-bucketing (the cell geometry
+                // is fixed for the monitor's lifetime).
+                if this.cell_of(old) != this.cell_of(&p) {
+                    moves.push((id, old.clone(), p.clone()));
+                }
+                changed_cells.extend([this.cell_of(old), this.cell_of(&p)]);
             }
+            changed.push(id);
+            patches.push((id, p));
             Ok(())
         };
-        match default_point {
+        match &default_point {
             None => {
                 // Reject / carry-forward: only fed rows can differ.
-                for &slot32 in fed {
-                    let slot = slot32 as usize;
+                for &slot in &fed {
+                    let slot = slot as usize;
                     let p = self
                         .epoch
                         .take(slot)
@@ -764,83 +678,36 @@ impl Monitor {
                 }
             }
         }
-        let changed: Vec<DeviceId> = patches.iter().map(|&(id, _)| id).collect();
-        let mut current = match self.take_spare(n) {
-            Some(mut buf) => {
+        let lag = std::mem::take(&mut self.spare_lag);
+        let spare = self.spare.take().filter(|s| s.len() == n);
+        let mut current = match (spare, self.last_snapshot()) {
+            (Some(mut buf), Some(prev)) => {
                 // Bring the buffer from S_{k-2} to S_{k-1}: only the rows
                 // that changed last epoch differ.
-                let lag = self.take_spare_lag();
-                let prev = self.previous_snapshot().ok_or(MonitorError::internal(
-                    "delta assembly requires a previous snapshot",
-                ))?;
                 for id in lag {
                     buf.copy_row_from(prev, id);
                 }
                 buf
             }
-            // First delta after a fresh/churned epoch: one full clone,
-            // then the spare ping-pong makes every later seal clone-free.
-            None => self
-                .previous_snapshot()
-                .ok_or(MonitorError::internal(
-                    "delta assembly requires a previous snapshot",
-                ))?
-                .clone(),
+            // First delta after the first seal or a restore: one full
+            // clone, then the spare ping-pong makes every later seal
+            // clone-free.
+            (None, Some(prev)) => prev.clone(),
+            (_, None) if rows.len() == n => Snapshot::new(self.space(), rows)?,
+            (_, None) => return Err(MonitorError::internal("a first seal covers every slot")),
         };
         current
             .patch_rows(patches)
             .map_err(|_| MonitorError::internal("patched rows were validated at ingest time"))?;
-        Ok((current, changed, moves))
-    }
-
-    /// Full assembly for the first epoch and for epochs following
-    /// membership churn: every row is materialized (updates are moved,
-    /// carries cloned from the previous snapshot by key).
-    fn assemble_fresh(
-        &mut self,
-        plan: &[Fill],
-        default_point: Option<&Point>,
-    ) -> Result<Snapshot, MonitorError> {
-        let mut rows: Vec<Point> = Vec::with_capacity(plan.len());
-        for (slot, fill) in plan.iter().enumerate() {
-            rows.push(match fill {
-                Fill::Update => self
-                    .epoch
-                    .take(slot)
-                    .ok_or(MonitorError::internal("plan said an update is pending"))?,
-                Fill::Carry(p) => self
-                    .previous_snapshot()
-                    .ok_or(MonitorError::internal("carry requires a previous snapshot"))?
-                    .position(DeviceId(*p))
-                    .clone(),
-                Fill::Default => default_point
-                    .ok_or(MonitorError::internal("plan said default fills"))?
-                    .clone(),
-            });
-        }
-        let space = *self.space();
-        Snapshot::new(&space, rows).map_err(MonitorError::Qos)
-    }
-}
-
-impl Monitor {
-    /// Appends this epoch's cell-crossing moves to the staged batch the
-    /// vicinity grid will replay at its next incremental update, and
-    /// remembers which rows the recycled buffer is missing.
-    fn record_epoch_delta(
-        &mut self,
-        changed: Vec<DeviceId>,
-        moves: Vec<(DeviceId, Point, Point)>,
-        steady: bool,
-    ) {
-        if !steady {
-            // A fresh or churned epoch: the spare buffer (if any) and any
-            // staged moves refer to a membership that no longer exists.
-            self.invalidate_spare();
-            return;
-        }
-        self.set_spare_lag(changed);
-        self.stage_grid_moves(moves);
+        let newcomers = BTreeSet::new();
+        let delta = SealDelta {
+            fed,
+            changed,
+            moves,
+            changed_cells,
+            newcomers,
+        };
+        Ok((current, delta))
     }
 }
 
@@ -1021,8 +888,11 @@ mod tests {
         assert!(e.to_string().contains("bound of 3"), "{}", e);
     }
 
+    /// Churn takes no separate path: the leaver's row is gone, the carried
+    /// device keeps its row at its (possibly new) slot, and the joiner,
+    /// which has no row to carry, must report.
     #[test]
-    fn churned_epochs_seal_through_the_fresh_path() {
+    fn churned_epochs_seal_through_the_delta_path() {
         let mut m = MonitorBuilder::new()
             .staleness(StalenessPolicy::CarryForward { max_age: 4 })
             .fleet(3)
@@ -1036,10 +906,26 @@ mod tests {
         // joiner must report.
         m.leave(2u64).unwrap();
         m.join(9u64).unwrap();
-        m.ingest(1u64, vec![0.9]).unwrap();
-        m.ingest(9u64, vec![0.9]).unwrap();
+        m.ingest(1u64, vec![0.8]).unwrap();
+        assert_eq!(
+            m.seal().unwrap_err(),
+            MonitorError::Ingest(IngestError::MissingDevices {
+                keys: vec![DeviceKey(9)],
+            })
+        );
+        m.ingest(9u64, vec![0.7]).unwrap();
         let r = m.seal().unwrap();
         assert_eq!(r.stragglers(), &[DeviceKey(0)]);
         assert_eq!(r.population(), 3);
+        let rows: Vec<f64> = m
+            .keys()
+            .iter()
+            .map(|&k| {
+                let id = m.id_of(k).unwrap();
+                m.last_snapshot().unwrap().position(id).coords()[0]
+            })
+            .collect();
+        assert_eq!(m.keys(), &[DeviceKey(0), DeviceKey(1), DeviceKey(9)]);
+        assert_eq!(rows, vec![0.9, 0.8, 0.7]);
     }
 }

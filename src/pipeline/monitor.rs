@@ -13,7 +13,7 @@ use anomaly_core::{
 };
 use anomaly_detectors::{DeviceDetector, StateReader, StateWriter};
 use anomaly_qos::{
-    DeviceId, GridIndex, GridUpdate, Norm, NormKind, Point, QosSpace, Snapshot, StatePair,
+    DeviceId, GridIndex, GridUpdate, Norm, NormKind, Point, QosError, QosSpace, Snapshot, StatePair,
 };
 use anomaly_store::{Dec, Enc};
 // conformance: allow(C2, reason = "HashMap backs only the lookup-only key index; it is never iterated, so hash order cannot reach a report")
@@ -65,8 +65,10 @@ pub type DetectorFactory = Box<dyn Fn(DeviceKey) -> Box<dyn DeviceDetector>>;
 ///   [`MonitorError`];
 /// * supports **dynamic membership**: devices [`join`](Monitor::join) and
 ///   [`leave`](Monitor::leave) between instants under stable
-///   [`DeviceKey`]s, and characterization automatically restricts to the
-///   surviving cohort of each interval;
+///   [`DeviceKey`]s. Both are local changes (Definition 1): they edit the
+///   slot-aligned state in place and invalidate only the cached verdicts
+///   within `4r` of the devices involved, and a joiner is characterized
+///   from its second sealed instant on;
 /// * accepts any [`DeviceDetector`] implementation per device, so fleets
 ///   mix EWMA, CUSUM, Kalman, or Holt-Winters models freely;
 /// * reuses its vicinity grid and snapshot buffers across instants and
@@ -115,13 +117,9 @@ pub struct Monitor {
     // conformance: allow(C2, reason = "lookup-only key index on the per-update hot path; never iterated")
     index: HashMap<DeviceKey, u32>,
     detectors: Vec<Box<dyn DeviceDetector>>,
-    /// Snapshot of the previous instant, if any.
+    /// Snapshot of the previous instant, if any, slot-aligned with `keys`
+    /// (a newcomer holds a placeholder row until its first seal).
     previous: Option<Snapshot>,
-    /// Dense key order of `previous` — populated lazily, only when
-    /// membership has churned since `previous` was taken (`None` means the
-    /// current `keys` still describe it). An O(1) handle on the pre-churn
-    /// `keys` Arc.
-    previous_keys: Option<Arc<Vec<DeviceKey>>>,
     /// Vicinity index, reused (allocations and all) across instants. Its
     /// geometry (dimension and `2r` cells) is fixed at construction, so
     /// cell indices are meaningful before the first characterized instant
@@ -145,15 +143,16 @@ pub struct Monitor {
     /// O(|A_k|), not an O(population) scan. Kept aligned with `flag_state`
     /// through the same swap-remove discipline on churn.
     flagged_slots: BTreeSet<u32>,
-    /// Per-device characterization cache, keyed by dense id. Valid only
-    /// while the fleet stays steady (no churn: dense ids are the cohort
-    /// ids); entries are invalidated when their cell falls inside the
+    /// Per-device characterization cache, keyed by dense id; entries are
+    /// invalidated when their cell falls inside the
     /// [`INVALIDATION_RINGS`]-expanded dirty-cell neighbourhood.
     char_cache: BTreeMap<u32, CacheEntry>,
     /// Grid cells touched since the last characterized instant: cells of
-    /// rows whose value changed, plus cells of devices whose detector flag
-    /// flipped. Consumed (and re-seeded with the sealing epoch's own
-    /// changed cells) at every characterized instant.
+    /// rows whose value changed (a newcomer's first row included), cells
+    /// of devices whose detector flag flipped, and the cells of a leaver
+    /// and of the device relocated into its slot. Consumed (and re-seeded
+    /// with the sealing epoch's own changed cells) at every characterized
+    /// instant.
     dirty_pending: BTreeSet<usize>,
     /// Reusable vicinity-query buffer for jobs run inline.
     neighbor_buf: Vec<DeviceId>,
@@ -167,30 +166,21 @@ pub struct Monitor {
     /// second-to-last snapshot `S_{k-2}`, which differs from `previous`
     /// (`S_{k-1}`) by exactly `spare_lag`. Ping-ponged with `previous`
     /// every epoch, so steady-state sealing never clones a snapshot.
-    spare: Option<Snapshot>,
+    pub(super) spare: Option<Snapshot>,
     /// Rows of `spare` that are stale with respect to `previous`.
-    spare_lag: Vec<DeviceId>,
+    pub(super) spare_lag: Vec<DeviceId>,
     /// Cell-crossing before-position moves accumulated since the vicinity
     /// grid last updated — the exact batch `GridIndex::apply_moves`
     /// replays at the next characterized instant.
     grid_staged: Vec<(DeviceId, Point, Point)>,
-    /// True when `grid` indexes a full-fleet snapshot and `grid_staged`
-    /// has tracked every before-position change since — the precondition
-    /// for replaying staged moves instead of rebuilding.
-    grid_full_synced: bool,
-    /// Outcome of the most recent vicinity-grid update, if any.
+    /// Outcome of the most recent vicinity-grid update, if any. Once set,
+    /// `grid` holds one slot per device (vacant for newcomers) and
+    /// `grid_staged` tracks every before-position change since — the
+    /// precondition for replaying staged moves instead of rebuilding.
     last_grid_update: Option<GridUpdate>,
     /// Correlates per-epoch verdicts into anomaly events and keeps the
     /// bounded report history.
     tracker: EventTracker,
-}
-
-/// Per-device result of the parallel phase, keyed by cohort id for the
-/// deterministic merge.
-struct VerdictRow {
-    j: DeviceId,
-    characterization: Characterization,
-    vicinity: usize,
 }
 
 /// Cached characterization state of one flagged device.
@@ -216,18 +206,24 @@ struct CacheEntry {
 }
 
 /// The per-epoch change summary [`Monitor::seal`] hands to
-/// [`Monitor::advance`]: which detectors receive a fresh observation and
+/// [`Monitor::advance`]: which detectors receive a fresh observation,
 /// which vicinity-grid cells were touched by rows whose value actually
-/// changed. This is what makes the back half of `seal` scale with the
-/// churn instead of the population.
+/// changed, and which slots are newcomers. This is what makes the back
+/// half of `seal` scale with the churn instead of the population.
 pub(super) struct SealDelta {
-    /// Dense slots with a fresh update this epoch (`Fill::Update`); the
-    /// detectors of every other slot stay frozen.
+    /// Dense slots with a fresh update this epoch; the detectors of every
+    /// other slot stay frozen.
     pub(super) fed: Vec<u32>,
-    /// Old and new grid cell of every row whose value changed this epoch.
-    /// Empty after churn or when there is no previous snapshot: such an
-    /// epoch has no per-row change set, and the cache is empty anyway.
+    /// Rows that differ from the previous snapshot (the spare's next lag).
+    pub(super) changed: Vec<DeviceId>,
+    /// Cell-crossing moves among `changed`, for the vicinity grid.
+    pub(super) moves: Vec<(DeviceId, Point, Point)>,
+    /// Old and new grid cell of every row whose value changed this epoch,
+    /// and the cell of every newcomer's first row (none at a first seal).
     pub(super) changed_cells: Vec<usize>,
+    /// Slots that joined since the previous seal: no position at `k−1`, so
+    /// flagged ones are warming, and the grid leaves them out.
+    pub(super) newcomers: BTreeSet<u32>,
 }
 
 impl std::fmt::Debug for Monitor {
@@ -273,7 +269,6 @@ impl Monitor {
             index: HashMap::with_capacity(capacity),
             detectors: Vec::with_capacity(capacity),
             previous: None,
-            previous_keys: None,
             grid: Arc::new(grid),
             engine,
             pool: None,
@@ -288,7 +283,6 @@ impl Monitor {
             spare: None,
             spare_lag: Vec::new(),
             grid_staged: Vec::new(),
-            grid_full_synced: false,
             last_grid_update: None,
             tracker: EventTracker::new(history, debounce),
         }
@@ -302,9 +296,10 @@ impl Monitor {
     /// How the most recent characterized instant brought the vicinity grid
     /// up to date: [`GridUpdate::Incremental`] with the number of devices
     /// re-bucketed, or [`GridUpdate::Rebuilt`]. `None` until the first
-    /// characterization runs. A steady fleet sealing small epochs must
-    /// report `Incremental` here — `tests/ingest_equivalence.rs` pins that
-    /// down.
+    /// characterization runs, and `Rebuilt` only at the first
+    /// characterized instant after build, reset or restore: small epochs
+    /// and joins and leaves report `Incremental` —
+    /// `tests/ingest_equivalence.rs` pins that down.
     pub fn last_grid_update(&self) -> Option<GridUpdate> {
         self.last_grid_update
     }
@@ -362,9 +357,24 @@ impl Monitor {
         self.keys.get(id.index()).copied()
     }
 
-    /// The last sealed snapshot, if any.
+    /// The last sealed snapshot, if any. Rows follow the current dense
+    /// order: after a [`Monitor::leave`] the last row has moved into the
+    /// leaver's slot, and a device that joined since holds a placeholder
+    /// row until its first seal.
     pub fn last_snapshot(&self) -> Option<&Snapshot> {
         self.previous.as_ref()
+    }
+
+    /// True when the last sealed snapshot holds `snapshot`'s row for every
+    /// device that has a sealed row (newcomers have none to compare).
+    pub(super) fn has_sealed(&self, snapshot: &Snapshot) -> bool {
+        self.previous.as_ref().is_some_and(|prev| {
+            prev.len() == snapshot.len()
+                && prev
+                    .iter()
+                    .zip(snapshot.iter())
+                    .all(|((id, a), (_, b))| a == b || self.epoch.is_newcomer(id.index()))
+        })
     }
 
     /// The anomaly event tracker: open events, recently closed ones, and
@@ -402,85 +412,57 @@ impl Monitor {
         &self.space
     }
 
-    /// The previous sealed snapshot (internal alias used by the seal
-    /// machinery in `ingest.rs`).
-    pub(super) fn previous_snapshot(&self) -> Option<&Snapshot> {
-        self.previous.as_ref()
-    }
-
-    /// The dense key order of the previous snapshot when membership has
-    /// churned since it was sealed (`None` = current keys describe it).
-    pub(super) fn previous_key_order(&self) -> Option<&[DeviceKey]> {
-        self.previous_keys.as_deref().map(Vec::as_slice)
-    }
-
     /// Shared handle on the current dense key order, for reports that
     /// reference it lazily (O(1); see the `keys` field).
     pub(super) fn key_order_handle(&self) -> Arc<Vec<DeviceKey>> {
         Arc::clone(&self.keys)
     }
 
-    /// Takes the recycled snapshot buffer when it matches the required
-    /// shape.
-    pub(super) fn take_spare(&mut self, population: usize) -> Option<Snapshot> {
-        match &self.spare {
-            Some(s) if s.len() == population && s.dim() == self.services => self.spare.take(),
-            _ => None,
+    /// The vicinity-grid cell of a position, the unit of the cache's dirty
+    /// set: pure geometry, fixed for the monitor's lifetime.
+    pub(super) fn cell_of(&self, p: &Point) -> usize {
+        self.grid.cell_index(p.coords())
+    }
+
+    /// A newcomer's row in `previous` until its first seal; nothing reads it.
+    pub(super) fn placeholder(&self) -> Point {
+        Point::new_unchecked(vec![0.0; self.services])
+    }
+
+    /// Phase 4 of a seal: the recycled buffer lags the new previous
+    /// snapshot by exactly `delta.changed`, the vicinity grid owes
+    /// `delta.moves` at its next update, and the newcomers that this seal
+    /// gave a first row enter the grid at that row.
+    pub(super) fn record_epoch_delta(&mut self, delta: SealDelta) -> Result<(), MonitorError> {
+        self.spare_lag = delta.changed;
+        if self.last_grid_update.is_none() {
+            // The next characterized instant builds the grid from scratch.
+            return Ok(());
         }
-    }
-
-    /// Takes the list of rows by which the spare buffer lags `previous`.
-    pub(super) fn take_spare_lag(&mut self) -> Vec<DeviceId> {
-        std::mem::take(&mut self.spare_lag)
-    }
-
-    /// Records which rows the (new) spare buffer is missing.
-    pub(super) fn set_spare_lag(&mut self, changed: Vec<DeviceId>) {
-        self.spare_lag = changed;
-    }
-
-    /// Drops the recycled buffer and every staged grid move — called when
-    /// membership or shape changes make them meaningless.
-    pub(super) fn invalidate_spare(&mut self) {
-        self.spare = None;
-        self.spare_lag.clear();
-        self.grid_staged.clear();
-        self.grid_full_synced = false;
-    }
-
-    /// Whether a changed row is worth recording as a grid move candidate:
-    /// only cell-crossing moves ever need re-bucketing (the cell geometry
-    /// is fixed for the monitor's lifetime — `window` never changes), so
-    /// the sealing path skips the two `Point` clones for same-cell jitter.
-    pub(super) fn wants_grid_move(&self, old: &Point, new: &Point) -> bool {
-        self.grid.cell_index(old.coords()) != self.grid.cell_index(new.coords())
-    }
-
-    /// Appends this epoch's cell-crossing moves (see
-    /// [`Monitor::wants_grid_move`]) to the batch the vicinity grid will
-    /// replay at its next incremental update — unless the grid is due for
-    /// a rebuild anyway.
-    pub(super) fn stage_grid_moves(&mut self, moves: Vec<(DeviceId, Point, Point)>) {
-        if self.grid_full_synced {
-            self.grid_staged.extend(moves);
+        self.grid_staged.extend(delta.moves);
+        let previous = self.previous.as_ref().ok_or(MonitorError::internal(
+            "a sealed epoch leaves a previous snapshot",
+        ))?;
+        let grid = Arc::make_mut(&mut self.grid);
+        for slot in delta.newcomers {
+            let row = previous.try_position(DeviceId(slot)).map_err(out_of_step)?;
+            grid.insert(DeviceId(slot), row).map_err(out_of_step)?;
         }
+        Ok(())
     }
 
-    /// Old and new vicinity-grid cell of every row that changed value this
-    /// epoch — the seed of the characterization cache's dirty set. Pure
-    /// cell geometry: indices depend only on the space dimension and the
-    /// window, both fixed for the monitor's lifetime, so they stay
-    /// comparable across grid rebuilds and exist before the grid first
-    /// indexes anything.
-    pub(super) fn changed_cells_of(&self, changed: &[DeviceId], current: &Snapshot) -> Vec<usize> {
-        let Some(prev) = self.previous.as_ref() else {
-            return Vec::new();
-        };
-        changed
-            .iter()
-            .flat_map(|&id| [prev.position(id), current.position(id)])
-            .map(|p| self.grid.cell_index(p.coords()))
-            .collect()
+    /// Cache triage: consumes the dirty cells accumulated since the last
+    /// characterized instant, expands them to the 4r (= 2 cell rings)
+    /// dependency neighbourhood of Definition 1's locality bound, and drops
+    /// every cached verdict anchored inside it; what remains is provably
+    /// unaffected and served without recomputation.
+    fn drop_dirty_entries(&mut self) {
+        let dirty = std::mem::take(&mut self.dirty_pending);
+        if !dirty.is_empty() {
+            let doomed = self.grid.expand_cells(&dirty, INVALIDATION_RINGS);
+            self.char_cache
+                .retain(|_, entry| !doomed.contains(&entry.cell));
+        }
     }
 
     /// Assembles the interval's characterization engine from the freshly
@@ -504,8 +486,9 @@ impl Monitor {
     /// Returns the device's dense id at the next observation.
     ///
     /// A device joining between instants `k-1` and `k` has no position at
-    /// `k-1`: it warms up at `k` (reported via [`Report::warming`] if
-    /// flagged) and is characterized from `k+1` on. Until its first update
+    /// `k-1`: it is a newcomer that warms up at `k` (reported via
+    /// [`Report::warming`] if flagged), stays out of the vicinity grid, and
+    /// is characterized from `k+1` on. Until its first update
     /// it also has nothing to carry forward, so under
     /// [`StalenessPolicy::Reject`] and
     /// [`StalenessPolicy::CarryForward`] it must report in the epoch that
@@ -550,12 +533,25 @@ impl Monitor {
                 actual: detector.services(),
             });
         }
-        self.note_churn();
         let id = self.keys.len() as u32;
+        let newcomer = self.previous.is_some();
+        if newcomer {
+            let placeholder = self.placeholder();
+            for snapshot in self.previous.iter_mut().chain(self.spare.iter_mut()) {
+                snapshot
+                    .push_row(placeholder.clone())
+                    .map_err(out_of_step)?;
+            }
+        }
+        if self.last_grid_update.is_some() {
+            Arc::make_mut(&mut self.grid)
+                .resize(id as usize + 1)
+                .map_err(out_of_step)?;
+        }
         Arc::make_mut(&mut self.keys).push(key);
         self.detectors.push(detector);
         self.flag_state.push((false, 0.0));
-        self.epoch.push_slot();
+        self.epoch.push_slot(newcomer);
         self.index.insert(key, id);
         Ok(DeviceId(id))
     }
@@ -578,40 +574,54 @@ impl Monitor {
         let Some(&slot) = self.index.get(&key) else {
             return Err(MonitorError::UnknownDevice { key });
         };
-        self.note_churn();
-        let slot = slot as usize;
-        // Mirror the swap-remove in the flagged-slot set: the departing
-        // slot's entry goes, and the last slot (about to move into the
-        // vacated position) is re-keyed.
-        let last = self.keys.len().saturating_sub(1) as u32;
-        self.flagged_slots.remove(&(slot as u32));
-        if slot as u32 != last && self.flagged_slots.remove(&last) {
-            self.flagged_slots.insert(slot as u32);
+        let (slot, last) = (slot as usize, self.keys.len().saturating_sub(1));
+        let (id, last_id) = (DeviceId(slot as u32), DeviceId(last as u32));
+        // The leaver's trajectory disappears and the relocated device's
+        // dense id changes, so every cached verdict or dense set that
+        // involves either sits within the rings of their cells.
+        if let Some(previous) = &self.previous {
+            for s in [slot, last] {
+                if !self.epoch.is_newcomer(s) {
+                    let row = previous
+                        .try_position(DeviceId(s as u32))
+                        .map_err(out_of_step)?;
+                    self.dirty_pending.insert(self.cell_of(row));
+                }
+            }
         }
+        // Mirror the swap-remove in every slot-aligned structure.
+        for snapshot in self.previous.iter_mut().chain(self.spare.iter_mut()) {
+            snapshot.swap_remove_row(id).map_err(out_of_step)?;
+        }
+        if self.last_grid_update.is_some() {
+            let grid = Arc::make_mut(&mut self.grid);
+            grid.remove(id).map_err(out_of_step)?;
+            grid.rekey(last_id, id).map_err(out_of_step)?;
+            grid.resize(last).map_err(out_of_step)?;
+        }
+        let relabel = |j: &mut DeviceId| {
+            if *j == last_id {
+                *j = id;
+            }
+        };
+        self.spare_lag.retain(|&j| j != id);
+        self.spare_lag.iter_mut().for_each(relabel);
+        self.grid_staged.retain(|(j, _, _)| *j != id);
+        self.grid_staged.iter_mut().for_each(|(j, _, _)| relabel(j));
+        // The leaver's cached verdict goes; the relocated device's is keyed
+        // by its old id and anchored in a cell just dirtied, so it goes too.
+        self.char_cache.remove(&id.0);
+        self.char_cache.remove(&last_id.0);
+        swap_remove_slot(&mut self.flagged_slots, slot, last);
+        self.epoch.remove_slot(slot);
         self.index.remove(&key);
         Arc::make_mut(&mut self.keys).swap_remove(slot);
         let detector = self.detectors.swap_remove(slot);
         self.flag_state.swap_remove(slot);
-        self.epoch.remove_slot(slot);
         if let Some(&moved) = self.keys.get(slot) {
             self.index.insert(moved, slot as u32);
         }
         Ok(detector)
-    }
-
-    /// Remembers the previous snapshot's key order before the first
-    /// membership change since it was taken, and invalidates every
-    /// structure keyed by the old dense order (recycled buffer, staged
-    /// grid moves, characterization cache).
-    fn note_churn(&mut self) {
-        if self.previous.is_some() && self.previous_keys.is_none() {
-            self.previous_keys = Some(self.keys.clone());
-        }
-        self.invalidate_spare();
-        // Dense ids shift under churn (swap-remove), so both the
-        // id-keyed cache and its cell-level dirty tracking are void.
-        self.char_cache.clear();
-        self.dirty_pending.clear();
     }
 
     /// Resets every detector, forgets the previous snapshot, and discards
@@ -633,9 +643,10 @@ impl Monitor {
         self.char_cache.clear();
         self.dirty_pending.clear();
         self.previous = None;
-        self.previous_keys = None;
         self.epoch.reset();
-        self.invalidate_spare();
+        self.spare = None;
+        self.spare_lag.clear();
+        self.grid_staged.clear();
         self.last_grid_update = None;
         self.tracker.reset()
     }
@@ -667,10 +678,10 @@ impl Monitor {
     ///
     /// The first snapshot ever (and the first after [`Monitor::reset`])
     /// only warms the detectors: there is no `[k−1, k]` interval yet, so
-    /// the report carries no verdicts. When membership churned since the
-    /// previous snapshot, characterization restricts to the surviving
-    /// cohort — devices present at both `k−1` and `k`; fresh joiners that
-    /// flag immediately are listed in [`Report::warming`].
+    /// the report carries no verdicts. Devices that joined since the
+    /// previous snapshot have no position at `k−1` either: they are not
+    /// characterized yet, and those that flag immediately are listed in
+    /// [`Report::warming`].
     ///
     /// # Errors
     ///
@@ -716,7 +727,7 @@ impl Monitor {
         &mut self,
         current: Snapshot,
         stragglers: Stragglers,
-        delta: SealDelta,
+        delta: &SealDelta,
     ) -> Result<Report, MonitorError> {
         let detection_start = Stopwatch::start();
         for &slot in &delta.fed {
@@ -741,8 +752,7 @@ impl Monitor {
                 }
                 // A_k membership changed at this device's position: every
                 // cached verdict in its neighbourhood is suspect.
-                self.dirty_pending
-                    .insert(self.grid.cell_index(point.coords()));
+                self.dirty_pending.insert(self.cell_of(point));
             }
             if let Some(state) = self.flag_state.get_mut(i) {
                 *state = (flagged_now, verdict.score());
@@ -769,25 +779,25 @@ impl Monitor {
         let instant = self.instant;
         self.instant += 1;
 
-        // Characterization over the surviving cohort of [k-1, k].
+        // Characterization over [k-1, k].
         let mut verdicts: Vec<DeviceVerdict> = Vec::new();
         let mut warming: Vec<DeviceKey> = Vec::new();
         let mut characterization = Duration::ZERO;
-        let (new_previous, new_spare) = match self.previous.take() {
-            Some(previous) if !flagged.is_empty() => {
+        let (new_previous, spare) = match self.previous.take() {
+            Some(previous) if flagged.is_empty() => (current, Some(previous)),
+            Some(previous) => {
                 let char_start = Stopwatch::start();
-                let rotated = self.characterize_interval(
+                let (new_previous, spare) = self.characterize_interval(
                     previous,
                     current,
                     &flagged,
-                    &delta.changed_cells,
+                    delta,
                     &mut verdicts,
                     &mut warming,
                 )?;
                 characterization = char_start.elapsed();
-                rotated
+                (new_previous, Some(spare))
             }
-            Some(previous) => (current, Some(previous)),
             None => {
                 // Very first interval: every flagged device is warming.
                 for &(i, _) in &flagged {
@@ -796,12 +806,8 @@ impl Monitor {
                 (current, None)
             }
         };
-
         self.previous = Some(new_previous);
-        if let Some(spare) = new_spare {
-            self.spare = Some(spare);
-        }
-        self.previous_keys = None;
+        self.spare = spare.or(self.spare.take());
         let mut report = Report {
             instant,
             population: self.keys.len(),
@@ -822,139 +828,80 @@ impl Monitor {
         Ok(report)
     }
 
-    /// Builds the surviving-cohort state pair, runs the local
-    /// characterization on the flagged survivors — serving devices whose
+    /// Pairs the previous and current snapshots, runs the local
+    /// characterization on the flagged devices — serving devices whose
     /// `4r`-neighbourhood is untouched straight from the cache — and
     /// enriches verdicts with displacement and vicinity context. Returns
-    /// the rotated snapshot buffers: `(new previous, recyclable spare)` —
-    /// in the steady (no-churn) case both full snapshots come back without
-    /// a single clone.
+    /// the rotated snapshot buffers: `(new previous, recyclable spare)`,
+    /// both full snapshots, without a single clone.
     ///
-    /// `echo_cells` are the sealing epoch's own changed cells; they re-seed
-    /// the dirty set after it is consumed, because this epoch's movers have
-    /// a different (stationary) trajectory at the next instant even if they
-    /// stay silent from here on.
+    /// Newcomers have no position at `k−1`: flagged ones are listed as
+    /// warming, and neither the abnormal set nor the vicinity grid holds
+    /// them. `delta.changed_cells` are the sealing epoch's own changed
+    /// cells; they re-seed the dirty set after it is consumed, because
+    /// this epoch's movers have a different (stationary) trajectory at the
+    /// next instant even if they stay silent from here on.
     fn characterize_interval(
         &mut self,
         previous: Snapshot,
         current: Snapshot,
         flagged: &[(u32, f64)],
-        echo_cells: &[usize],
+        delta: &SealDelta,
         verdicts: &mut Vec<DeviceVerdict>,
         warming: &mut Vec<DeviceKey>,
-    ) -> Result<(Snapshot, Option<Snapshot>), MonitorError> {
-        // Map current dense ids to their dense ids in `previous`.
-        // `previous_keys` is only populated when membership actually
-        // churned; the common steady-state case is the identity mapping,
-        // which allocates no per-device structures at all — cohort id ==
-        // current id == previous id.
-        let survivors: Option<Vec<(u32, u32)>> = self.previous_keys.as_ref().map(|prev_keys| {
-            let prev_index: BTreeMap<DeviceKey, u32> = prev_keys
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| (k, i as u32))
-                .collect();
-            self.keys
-                .iter()
-                .enumerate()
-                .filter_map(|(i, key)| prev_index.get(key).map(|&p| (i as u32, p)))
-                .collect()
-        });
-
-        // A_k in cohort-local ids, plus each flagged device's score (only
-        // flagged devices are touched: O(|A_k|), not O(n)).
+    ) -> Result<(Snapshot, Snapshot), MonitorError> {
+        // A_k, plus each flagged device's score (only flagged devices are
+        // touched: O(|A_k|), not O(n)).
         let mut abnormal: Vec<DeviceId> = Vec::new();
         let mut scores: BTreeMap<u32, f64> = BTreeMap::new();
-        match &survivors {
-            None => {
-                for &(cur, score) in flagged {
-                    abnormal.push(DeviceId(cur));
-                    scores.insert(cur, score);
-                }
-            }
-            Some(survivors) => {
-                // Cohort-local ids follow current order: cohort id c is
-                // survivors[c]. Invert current -> cohort for the flagged set.
-                let cohort_of: BTreeMap<u32, u32> = survivors
-                    .iter()
-                    .enumerate()
-                    .map(|(c, &(cur, _))| (cur, c as u32))
-                    .collect();
-                for &(cur, score) in flagged {
-                    match cohort_of.get(&cur) {
-                        Some(&c) => {
-                            abnormal.push(DeviceId(c));
-                            scores.insert(c, score);
-                        }
-                        // Flagged but joined after k-1: no interval yet.
-                        None => warming.push(self.key_at(cur)?),
-                    }
-                }
+        for &(slot, score) in flagged {
+            if delta.newcomers.contains(&slot) {
+                warming.push(self.key_at(slot)?);
+            } else {
+                abnormal.push(DeviceId(slot));
+                scores.insert(slot, score);
             }
         }
         if abnormal.is_empty() {
-            return Ok((current, Some(previous)));
+            return Ok((current, previous));
         }
+        let pair = StatePair::new(previous, current)?;
 
-        // Steady state pairs the two owned snapshots directly — no clone
-        // at all; churn selects the surviving cohort out of both, keeping
-        // the full current snapshot aside to become the next `previous`.
-        let steady = survivors.is_none();
-        let (pair, current_back): (StatePair, Option<Snapshot>) = match &survivors {
-            None => (StatePair::new(previous, current)?, None),
-            Some(survivors) => {
-                let prev_ids: Vec<DeviceId> = survivors.iter().map(|&(_, p)| DeviceId(p)).collect();
-                let cur_ids: Vec<DeviceId> =
-                    survivors.iter().map(|&(cur, _)| DeviceId(cur)).collect();
-                let cohort =
-                    StatePair::new(previous.select(&prev_ids)?, current.select(&cur_ids)?)?;
-                (cohort, Some(current))
-            }
-        };
-
-        // Vicinity index over the whole cohort (not only A_k), kept across
-        // instants. At a steady full-fleet instant the staged cell moves
-        // accumulated by the sealing path are replayed incrementally
-        // (`apply_moves` — O(moved devices)); a scope change (first
-        // characterized instant, churn, reset) rebuilds it.
+        // Vicinity index over the whole fleet (not only A_k), kept across
+        // instants: the staged cell moves accumulated by the sealing path
+        // are replayed incrementally (`apply_moves` — O(moved devices)),
+        // and joins and leaves edited it in place. Only the first
+        // characterized instant after build, reset or restore builds it.
         let window = self.params.window();
         let cell_side = window.max(1e-6);
         let grid = Arc::make_mut(&mut self.grid);
-        self.last_grid_update = Some(if steady && self.grid_full_synced {
+        let update = if self.last_grid_update.is_some() {
             grid.apply_moves(&pair, cell_side, &self.grid_staged)
+                .map_err(out_of_step)?
         } else {
             grid.rebuild(&pair, cell_side);
             GridUpdate::Rebuilt
-        });
-        self.grid_staged.clear();
-        self.grid_full_synced = steady;
-
-        // Cache triage. Consume the dirty cells accumulated since the last
-        // characterized instant, expand them to the 4r (= 2 cell rings)
-        // dependency neighbourhood of Definition 1's locality bound, and
-        // drop every cached verdict anchored inside it; what remains is
-        // provably unaffected and served without recomputation. Under
-        // churn the cache is empty (`note_churn` cleared it: the cohort
-        // ids it was keyed by no longer exist), so every device is fresh.
-        let dirty = std::mem::take(&mut self.dirty_pending);
-        if !dirty.is_empty() {
-            let doomed = self.grid.expand_cells(&dirty, INVALIDATION_RINGS);
-            self.char_cache
-                .retain(|_, entry| !doomed.contains(&entry.cell));
+        };
+        if update == GridUpdate::Rebuilt {
+            for &slot in &delta.newcomers {
+                grid.remove(DeviceId(slot)).map_err(out_of_step)?;
+            }
         }
+        self.last_grid_update = Some(update);
+        self.grid_staged.clear();
+
+        self.drop_dirty_entries();
         // Echo: rows that changed this epoch change trajectory again next
         // epoch (moving → stationary), so their cells go straight back
         // into the dirty set for the next invalidation round.
-        self.dirty_pending.extend(echo_cells.iter().copied());
-        let mut rows: Vec<VerdictRow> = Vec::with_capacity(abnormal.len());
+        self.dirty_pending
+            .extend(delta.changed_cells.iter().copied());
+        // Per device: (dense id, verdict, vicinity), cached or fresh.
+        let mut rows: Vec<(DeviceId, Characterization, usize)> = Vec::with_capacity(abnormal.len());
         let mut fresh: Vec<DeviceId> = Vec::new();
         for &j in &abnormal {
             match self.char_cache.get(&j.0) {
-                Some(entry) => rows.push(VerdictRow {
-                    j,
-                    characterization: entry.characterization,
-                    vicinity: entry.vicinity,
-                }),
+                Some(entry) => rows.push((j, entry.characterization, entry.vicinity)),
                 None => fresh.push(j),
             }
         }
@@ -1022,11 +969,7 @@ impl Monitor {
             for output in run_phase(self.engine, &mut self.pool, &mut self.neighbor_buf, jobs)? {
                 fresh_parts.extend(output.into_parts()?);
             }
-            if steady {
-                for (j, pre) in &fresh_parts {
-                    fresh_pre.insert(j.0, pre.clone());
-                }
-            }
+            fresh_pre.extend(fresh_parts.iter().map(|(j, pre)| (j.0, pre.clone())));
             // The merged core covers the whole abnormal set (fresh slices
             // plus every cached one), so its partition is the epoch's
             // global one.
@@ -1058,77 +1001,63 @@ impl Monitor {
         };
 
         // Freshly decided devices enter the cache (with their precompute
-        // slice, for future merges) before joining the cached rows — at a
-        // steady interval only, where cohort ids are the dense ids the
-        // cache is keyed by.
-        if steady {
-            for &(j, characterization, vicinity) in &fresh_rows {
-                let precompute = fresh_pre.remove(&j.0).ok_or(MonitorError::internal(
-                    "fresh device missing its precompute slice",
-                ))?;
-                let cell = self.grid.cell_index(pair.after().position(j).coords());
-                self.char_cache.insert(
-                    j.0,
-                    CacheEntry {
-                        cell,
-                        precompute,
-                        characterization,
-                        vicinity,
-                    },
-                );
-            }
-        }
-        rows.extend(
-            fresh_rows
-                .into_iter()
-                .map(|(j, characterization, vicinity)| VerdictRow {
-                    j,
+        // slice, for future merges) before joining the cached rows.
+        for &(j, characterization, vicinity) in &fresh_rows {
+            let precompute = fresh_pre.remove(&j.0).ok_or(MonitorError::internal(
+                "fresh device missing its precompute slice",
+            ))?;
+            let cell = self.cell_of(pair.after().position(j));
+            self.char_cache.insert(
+                j.0,
+                CacheEntry {
+                    cell,
+                    precompute,
                     characterization,
                     vicinity,
-                }),
-        );
+                },
+            );
+        }
+        rows.extend(fresh_rows);
 
-        // Deterministic merge: cohort ids map monotonically to current
-        // dense ids, so id order here is exactly the report's verdict order
-        // whatever sharding produced the rows.
-        rows.sort_unstable_by_key(|r| r.j);
-        for row in rows {
-            let j = row.j;
-            let cur = match &survivors {
-                None => j.0,
-                Some(survivors) => survivors
-                    .get(j.index())
-                    .map(|&(cur, _)| cur)
-                    .ok_or(MonitorError::internal("cohort id out of range"))?,
-            };
+        // Deterministic merge: id order here is exactly the report's verdict
+        // order whatever sharding produced the rows.
+        rows.sort_unstable_by_key(|r| r.0);
+        for (j, characterization, vicinity) in rows {
             let displacement = self.norm.distance(
                 pair.before().position(j).coords(),
                 pair.after().position(j).coords(),
             );
             verdicts.push(DeviceVerdict {
-                key: self.key_at(cur)?,
-                id: DeviceId(cur),
-                characterization: row.characterization,
+                key: self.key_at(j.0)?,
+                id: j,
+                characterization,
                 score: scores.get(&j.0).copied().unwrap_or(0.0),
                 displacement,
-                vicinity: row.vicinity,
+                vicinity,
                 component: partition.component_of(j),
             });
         }
 
-        // Rotate the buffers: steady pairs carry both full snapshots back
-        // (after → new previous, before → recyclable spare); churned pairs
-        // are cohort-sized and simply dropped, with the full current
-        // snapshot becoming the new previous.
-        match current_back {
-            None => {
-                debug_assert!(steady);
-                let (before, after) = pair.into_parts();
-                Ok((after, Some(before)))
-            }
-            Some(current) => Ok((current, None)),
-        }
+        // Rotate the buffers: after → new previous, before → recyclable
+        // spare.
+        let (before, after) = pair.into_parts();
+        Ok((after, before))
     }
+}
+
+/// Mirrors `Vec::swap_remove(slot)` on a set of dense slots: `slot` leaves
+/// the set, and the last slot, if it was in the set, takes its place.
+pub(super) fn swap_remove_slot(set: &mut BTreeSet<u32>, slot: usize, last: usize) {
+    set.remove(&(slot as u32));
+    if slot != last && set.remove(&(last as u32)) {
+        set.insert(slot as u32);
+    }
+}
+
+/// A grid or snapshot edit failed: that structure is out of step with the
+/// fleet.
+fn out_of_step(_: QosError) -> MonitorError {
+    MonitorError::internal("slot-aligned state out of step with the fleet")
 }
 
 /// Checkpoint body codec: the resumable state behind the configuration
@@ -1140,8 +1069,8 @@ impl Monitor {
     /// Serializes everything a fresh monitor built from the same
     /// configuration needs to continue the report stream byte-identically:
     /// fleet keys, per-device detector state, frozen verdicts, the last
-    /// sealed snapshot (and its key order, if membership churned since),
-    /// the open epoch with its staleness ages, the event tracker, and the
+    /// sealed snapshot (and its key order, if devices joined since), the
+    /// open epoch with its staleness ages, the event tracker, and the
     /// clock. Derived structures — vicinity grid, worker pool,
     /// characterization cache, recycled snapshot buffers — are
     /// deliberately absent: they are rebuilt lazily, and the determinism
@@ -1159,23 +1088,33 @@ impl Monitor {
             enc.bool(flagged);
             enc.f64(score);
         }
+        // Newcomers have no sealed row yet: the snapshot carries the other
+        // rows, and the key order names them whenever a newcomer is left
+        // out (the format older checkpoints use for any churn since the
+        // last seal).
+        let settled: Vec<usize> = (0..self.keys.len())
+            .filter(|&slot| !self.epoch.is_newcomer(slot))
+            .collect();
         match &self.previous {
             Some(prev) => {
                 enc.bool(true);
-                enc.usize(prev.len());
-                for i in 0..prev.len() {
-                    enc.f64s(prev.position(DeviceId(i as u32)).coords());
+                enc.usize(settled.len());
+                for &slot in &settled {
+                    enc.f64s(prev.position(DeviceId(slot as u32)).coords());
                 }
             }
             None => enc.bool(false),
         }
-        match &self.previous_keys {
-            Some(prev_keys) => {
-                enc.bool(true);
-                let raw: Vec<u64> = prev_keys.iter().map(|k| k.0).collect();
-                enc.u64s(&raw);
-            }
-            None => enc.bool(false),
+        if settled.len() == self.keys.len() {
+            enc.bool(false);
+        } else {
+            enc.bool(true);
+            let raw: Vec<u64> = settled
+                .iter()
+                .filter_map(|&s| self.keys.get(s))
+                .map(|k| k.0)
+                .collect();
+            enc.u64s(&raw);
         }
         enc.usize(self.epoch.pending().len());
         for slot in self.epoch.pending() {
@@ -1255,7 +1194,7 @@ impl Monitor {
                 self.flagged_slots.insert(slot as u32);
             }
         }
-        self.previous = if dec.bool("state.previous")? {
+        let previous = if dec.bool("state.previous")? {
             let rows_n = dec.usize("state.previous")?;
             let mut rows: Vec<Vec<f64>> = Vec::with_capacity(rows_n.min(1 << 16));
             for _ in 0..rows_n {
@@ -1269,21 +1208,15 @@ impl Monitor {
         } else {
             None
         };
-        self.previous_keys = if dec.bool("state.previous_keys")? {
-            let raw = dec.u64s("state.previous_keys")?;
-            Some(Arc::new(raw.into_iter().map(DeviceKey).collect()))
-        } else {
-            None
+        let order = match dec.bool("state.previous_order")? {
+            true => Some(dec.u64s("state.previous_order")?),
+            false => None,
         };
-        match (&self.previous, &self.previous_keys) {
-            (Some(prev), Some(prev_keys)) if prev.len() != prev_keys.len() => {
-                return Err(persist::shape_error(
-                    "previous key order",
-                    prev_keys.len(),
-                    prev.len(),
-                ));
-            }
-            (Some(prev), None) if prev.len() != n => {
+        let mut newcomers: BTreeSet<u32> = BTreeSet::new();
+        self.previous = match (previous, order) {
+            (None, None) => None,
+            (Some(prev), None) if prev.len() == n => Some(prev),
+            (Some(prev), None) => {
                 return Err(persist::shape_error("previous snapshot", prev.len(), n));
             }
             (None, Some(_)) => {
@@ -1292,8 +1225,32 @@ impl Monitor {
                         .to_string(),
                 });
             }
-            _ => {}
-        }
+            // The snapshot's rows follow `order`: match them to the slots by
+            // key. Rows of devices that left since are dropped; devices
+            // without a row are newcomers.
+            (Some(prev), Some(order)) => {
+                if order.len() != prev.len() {
+                    let (actual, expected) = (order.len(), prev.len());
+                    return Err(persist::shape_error("previous key order", actual, expected));
+                }
+                let mut row_of: BTreeMap<DeviceKey, Point> = BTreeMap::new();
+                for (key, row) in order.into_iter().map(DeviceKey).zip(prev.into_positions()) {
+                    if row_of.insert(key, row).is_some() {
+                        return Err(MonitorError::Persist {
+                            detail: format!("checkpointed previous key order names {key} twice"),
+                        });
+                    }
+                }
+                let mut aligned: Vec<Point> = Vec::with_capacity(n);
+                for (slot, key) in self.keys.iter().enumerate() {
+                    aligned.push(row_of.remove(key).unwrap_or_else(|| {
+                        newcomers.insert(slot as u32);
+                        self.placeholder()
+                    }));
+                }
+                Some(Snapshot::new(&self.space, aligned).map_err(out_of_step)?)
+            }
+        };
         let pending_n = dec.usize("state.epoch.pending")?;
         if pending_n != n {
             return Err(persist::shape_error("pending table", pending_n, n));
@@ -1346,8 +1303,14 @@ impl Monitor {
                 detail: "checkpointed staleness ages are inconsistent".to_string(),
             });
         }
-        self.epoch =
-            EpochState::from_state(pending, updated_slots, sealed, last_reported, stale_floor);
+        self.epoch = EpochState::from_state(
+            pending,
+            updated_slots,
+            sealed,
+            last_reported,
+            stale_floor,
+            newcomers,
+        );
         let next_id = dec.u64("state.events.next_id")?;
         let opened_total = dec.u64("state.events.opened_total")?;
         let closed_total = dec.u64("state.events.closed_total")?;
@@ -1649,6 +1612,177 @@ mod tests {
             }
             other => panic!("expected an incremental update, got {other:?}"),
         }
+    }
+
+    /// The frozen-cluster fixture of the cache tests, on a 1-D line cut
+    /// into 16 grid cells of side 1/16 (≥ 2r = 0.06): the cluster, devices
+    /// 0..6, jumps into cells 1 (#0..#2) and 2 (#3..#5) and then stays
+    /// silent, so its flags — and its cached verdicts — freeze; #6 sits
+    /// alone in cell 4, whose rings reach cell 2 but not cell 1; everyone
+    /// else idles in cells 9..14.
+    mod frozen_cluster {
+        use super::*;
+        use crate::pipeline::StalenessPolicy;
+        use anomaly_detectors::ThresholdDetector;
+
+        pub(super) const N: u64 = 60;
+
+        fn builder() -> MonitorBuilder {
+            MonitorBuilder::new()
+                .staleness(StalenessPolicy::CarryForward { max_age: 10_000 })
+                .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.1)))
+        }
+
+        pub(super) fn home(k: u64) -> f64 {
+            match k {
+                0..=5 => 0.55 + 0.01 * k as f64,
+                6 => 0.27,
+                _ => 0.6 + 0.3 * (k % 37) as f64 / 37.0,
+            }
+        }
+
+        /// Seals `rows` and checks the report against the same epoch sealed
+        /// by a restored copy of the monitor — a from-scratch recomputation,
+        /// since a restored monitor starts with an empty cache and builds
+        /// its grid anew.
+        pub(super) fn seal(m: &mut Monitor, rows: &[(u64, f64)]) -> Report {
+            let mut bytes = Vec::new();
+            m.checkpoint(&mut bytes).unwrap();
+            let mut fresh = Monitor::restore(bytes.as_slice(), builder()).unwrap();
+            let mut reports = [&mut *m, &mut fresh].map(|monitor| {
+                for &(k, x) in rows {
+                    monitor.ingest(k, vec![x]).unwrap();
+                }
+                monitor.seal().unwrap()
+            });
+            let [live, reference] = &mut reports;
+            assert_eq!(
+                format!("{:?}", live.verdicts()),
+                format!("{:?}", reference.verdicts())
+            );
+            assert_eq!(live.warming(), reference.warming());
+            assert_eq!(live.stragglers(), reference.stragglers());
+            std::mem::replace(live, reference.clone())
+        }
+
+        /// The monitor after the jump and two quiet epochs: every cluster
+        /// verdict is cached and served.
+        pub(super) fn monitor() -> Monitor {
+            let mut m = builder().fleet(N as usize).build().unwrap();
+            let all: Vec<(u64, f64)> = (0..N).map(|k| (k, home(k))).collect();
+            seal(&mut m, &all);
+            seal(&mut m, &all);
+            let jump: Vec<(u64, f64)> = (0..6).map(|k| (k, 0.10 + 0.01 * k as f64)).collect();
+            assert_eq!(seal(&mut m, &jump).verdicts().len(), 6);
+            quiet(&mut m);
+            quiet(&mut m);
+            assert_eq!(cached(&m), (0..6).map(DeviceKey).collect::<Vec<_>>());
+            m
+        }
+
+        /// A far calm device wiggles within its cell.
+        pub(super) fn quiet(m: &mut Monitor) -> Report {
+            let wiggle = if m.instant().is_multiple_of(2) {
+                0.004
+            } else {
+                -0.004
+            };
+            let r = seal(m, &[(30, home(30) + wiggle)]);
+            assert_eq!(r.verdicts().len(), 6, "the frozen cluster stays abnormal");
+            r
+        }
+
+        /// Keys of the devices with a cached verdict, ascending.
+        pub(super) fn cached(m: &Monitor) -> Vec<DeviceKey> {
+            let mut keys: Vec<DeviceKey> =
+                m.char_cache.keys().map(|&j| m.key_at(j).unwrap()).collect();
+            keys.sort_unstable();
+            keys
+        }
+    }
+
+    #[test]
+    fn far_churn_keeps_the_frozen_clusters_cached_verdicts() {
+        use frozen_cluster::*;
+        let mut m = monitor();
+        // #40 leaves and #59 (the last slot) moves into its slot, both far
+        // from the cluster; #100 joins far away too.
+        m.leave(40u64).unwrap();
+        m.join(100u64).unwrap();
+        m.drop_dirty_entries();
+        assert_eq!(cached(&m), (0..6).map(DeviceKey).collect::<Vec<_>>());
+        let r = seal(&mut m, &[(100, 0.8)]);
+        assert_eq!(r.verdicts().len(), 6);
+        assert_eq!(
+            m.last_grid_update(),
+            Some(GridUpdate::Incremental { rebucketed: 0 })
+        );
+        m.drop_dirty_entries();
+        assert_eq!(cached(&m), (0..6).map(DeviceKey).collect::<Vec<_>>());
+        quiet(&mut m);
+    }
+
+    #[test]
+    fn a_leave_next_to_the_cluster_drops_exactly_the_entries_in_its_rings() {
+        use frozen_cluster::*;
+        let mut m = monitor();
+        // #6 leaves from cell 4: its rings cover cells 2..6, so #3..#5 are
+        // recomputed and #0..#2 in cell 1 stay cached.
+        m.leave(6u64).unwrap();
+        m.drop_dirty_entries();
+        assert_eq!(cached(&m), (0..3).map(DeviceKey).collect::<Vec<_>>());
+        quiet(&mut m);
+        quiet(&mut m);
+    }
+
+    #[test]
+    fn a_relocation_next_to_the_cluster_drops_exactly_the_entries_in_its_rings() {
+        use frozen_cluster::*;
+        let mut m = monitor();
+        // #6 leaves and #59 takes its slot; then #200 joins in cell 4, the
+        // last slot, and settles.
+        m.leave(6u64).unwrap();
+        m.join(200u64).unwrap();
+        seal(&mut m, &[(200, home(6))]);
+        quiet(&mut m);
+        quiet(&mut m);
+        assert_eq!(cached(&m), (0..6).map(DeviceKey).collect::<Vec<_>>());
+        // The far #40 leaves and #200 is relocated into its slot: its id
+        // changes, so the entries within its rings go.
+        m.leave(40u64).unwrap();
+        assert_eq!(m.id_of(DeviceKey(200)), Some(DeviceId(40)));
+        m.drop_dirty_entries();
+        assert_eq!(cached(&m), (0..3).map(DeviceKey).collect::<Vec<_>>());
+        quiet(&mut m);
+        quiet(&mut m);
+    }
+
+    #[test]
+    fn a_checkpointed_key_order_naming_a_device_twice_fails_typed() {
+        // Keys whose encodings no other field of the body can match.
+        let (a, b) = (0x5EED_0000_0000_00A1u64, 0x5EED_0000_0000_00B2u64);
+        let mut m = MonitorBuilder::new().build().unwrap();
+        m.join(a).unwrap();
+        m.join(b).unwrap();
+        m.observe_rows(vec![vec![0.9]; 2]).unwrap();
+        // A newcomer makes the body carry the key order [a, b].
+        m.join(7u64).unwrap();
+        let mut enc = Enc::new();
+        m.encode_state(&mut enc);
+        let mut body = enc.into_bytes();
+        let order = [2u64, a, b].map(u64::to_le_bytes).concat();
+        let at = body.windows(order.len()).rposition(|w| w == order).unwrap();
+        let mut restored = MonitorBuilder::new().build().unwrap();
+        restored.import_state(&mut Dec::new(&body)).unwrap();
+        assert_eq!(restored.keys(), m.keys());
+        // Make it [a, a].
+        body[at + 16..at + 24].copy_from_slice(&a.to_le_bytes());
+        let mut restored = MonitorBuilder::new().build().unwrap();
+        let err = restored.import_state(&mut Dec::new(&body)).unwrap_err();
+        assert!(
+            matches!(&err, MonitorError::Persist { detail } if detail.contains("twice")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -27,7 +27,11 @@
 //! prove reports are byte-identical across engines, so a checkpoint
 //! written under `Sequential` may resume under `Threaded` and vice versa.
 //! Derived state (vicinity grid, characterization cache, worker pool) is
-//! not checkpointed; a restored monitor rebuilds it.
+//! not checkpointed; a restored monitor rebuilds it. The previous snapshot
+//! leaves out devices that joined since the last seal and then carries the
+//! key order of its rows; restore matches rows to devices by that order (as
+//! for older checkpoints, which kept the pre-churn snapshot until the next
+//! seal) and fails with [`MonitorError::Persist`] if it names a device twice.
 
 use super::builder::MonitorBuilder;
 use super::error::MonitorError;

@@ -56,9 +56,9 @@ pub(super) enum Job {
         core: Arc<AnalyzerCore>,
         /// Trajectories of the whole abnormal set.
         table: Arc<TrajectoryTable>,
-        /// The interval's cohort state pair.
+        /// The interval's state pair.
         pair: Arc<StatePair>,
-        /// Vicinity index over the cohort.
+        /// Vicinity index over the fleet, newcomers left out.
         grid: Arc<GridIndex>,
         /// Vicinity radius (`2r`).
         window: f64,

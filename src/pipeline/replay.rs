@@ -19,7 +19,8 @@ impl Monitor {
     /// snapshot exactly once, so a chained `T`-step trace produces `T + 1`
     /// reports on a fresh monitor. A step whose `before` does not match the
     /// monitor's last-seen snapshot (a recording gap) feeds both of its
-    /// snapshots.
+    /// snapshots; devices that joined since the last seal have no row to
+    /// match and do not count.
     ///
     /// The monitor's own parameters and detectors are used — the trace's
     /// recorded `r`/`τ` are *not* adopted, so the same scenario can be
@@ -27,8 +28,8 @@ impl Monitor {
     /// positionally: row `i` feeds the device at dense id `i`
     /// ([`Monitor::keys`]`()[i]`). Replaying segments of one scenario
     /// across membership changes is how churn is exercised end to end: the
-    /// monitor characterizes survivors over the splice interval and warms
-    /// the joiners.
+    /// monitor characterizes the devices present at both ends of the splice
+    /// interval and warms the joiners.
     ///
     /// # Errors
     ///
@@ -61,7 +62,7 @@ impl Monitor {
         }
         let mut reports = Vec::with_capacity(trace.steps.len() + 1);
         for step in &trace.steps {
-            if self.last_snapshot() != Some(step.pair.before()) {
+            if !self.has_sealed(step.pair.before()) {
                 reports.push(self.observe(step.pair.before().clone())?);
             }
             reports.push(self.observe(step.pair.after().clone())?);

@@ -8,56 +8,44 @@ use std::time::Duration;
 
 /// Backing store of [`Report::stragglers`].
 ///
-/// The steady-state carry-forward seal bridges every silent device, which
-/// in a large, mostly-quiet fleet is nearly the whole population — eagerly
-/// copying those keys into the report would be the seal's only remaining
+/// The carry-forward seal bridges every silent device, which in a large,
+/// mostly-quiet fleet is nearly the whole population — eagerly copying
+/// those keys into the report would be the seal's only remaining
 /// O(population) step. Instead the seal records the *runs* of consecutive
 /// silent dense slots plus a shared handle on the epoch's key order
 /// (O(silent runs), i.e. O(reporting devices + 1)), and the key list is
 /// materialized once, lazily, if a consumer actually asks for it.
 #[derive(Debug, Clone)]
-pub(super) enum Stragglers {
-    /// Explicit key list (general seal path, and policies that resolve
-    /// silent devices one at a time).
-    Eager(Vec<DeviceKey>),
-    /// Run-length form over the epoch's dense key order.
-    Lazy {
-        /// Half-open `[lo, hi)` dense-slot ranges of silent devices, in
-        /// ascending order.
-        runs: Vec<(u32, u32)>,
-        /// The epoch's dense key order, shared with the monitor (cloned
-        /// copy-on-write only if membership churns while this report is
-        /// still alive).
-        keys: Arc<Vec<DeviceKey>>,
-        /// The materialized key list, built on first access.
-        cache: OnceLock<Vec<DeviceKey>>,
-    },
+pub(super) struct Stragglers {
+    /// Half-open `[lo, hi)` dense-slot ranges of silent devices, in
+    /// ascending order.
+    pub(super) runs: Vec<(u32, u32)>,
+    /// The epoch's dense key order, shared with the monitor (cloned
+    /// copy-on-write only if membership churns while this report is still
+    /// alive).
+    pub(super) keys: Arc<Vec<DeviceKey>>,
+    /// The materialized key list, built on first access.
+    pub(super) cache: OnceLock<Vec<DeviceKey>>,
 }
 
 impl Stragglers {
     pub(super) fn len(&self) -> usize {
-        match self {
-            Stragglers::Eager(v) => v.len(),
-            Stragglers::Lazy { runs, .. } => runs
-                .iter()
-                .map(|&(lo, hi)| hi.saturating_sub(lo) as usize)
-                .sum(),
-        }
+        self.runs
+            .iter()
+            .map(|&(lo, hi)| hi.saturating_sub(lo) as usize)
+            .sum()
     }
 
     pub(super) fn as_slice(&self) -> &[DeviceKey] {
-        match self {
-            Stragglers::Eager(v) => v,
-            Stragglers::Lazy { runs, keys, cache } => cache.get_or_init(|| {
-                let mut out: Vec<DeviceKey> = Vec::with_capacity(self.len());
-                for &(lo, hi) in runs {
-                    if let Some(run) = keys.get(lo as usize..hi as usize) {
-                        out.extend_from_slice(run);
-                    }
+        self.cache.get_or_init(|| {
+            let mut out: Vec<DeviceKey> = Vec::with_capacity(self.len());
+            for &(lo, hi) in &self.runs {
+                if let Some(run) = self.keys.get(lo as usize..hi as usize) {
+                    out.extend_from_slice(run);
                 }
-                out
-            }),
-        }
+            }
+            out
+        })
     }
 }
 
@@ -83,7 +71,7 @@ pub struct DeviceVerdict {
     /// Magnitude of the device's QoS motion over `[k−1, k]`, measured with
     /// the monitor's configured norm.
     pub displacement: f64,
-    /// Surviving-cohort devices — flagged or not — within `2r` of this
+    /// Devices present at both instants — flagged or not — within `2r` of this
     /// device at both instants: the full-population neighbourhood `N(j)`
     /// of Algorithm 2, the context an operator dashboard shows next to the
     /// verdict. (The characterization itself only consults the flagged

@@ -580,3 +580,85 @@ fn event_log_replays_summaries_and_closed_events() {
     assert_eq!(restored.keys(), monitor.keys());
     assert!(oracle.checked() > 0, "the scenario must flag devices");
 }
+
+/// The workload of the compatibility fixture: `churn_scenario()` with its
+/// leavers spread over the fleet rather than taken from the tail, so every
+/// leave relocates the last slot.
+fn relocating_churn_run() -> (ScenarioSpec, ScenarioRun) {
+    let scenario = churn_scenario();
+    let spec = scenario.spec();
+    let mut run = scenario.generate().unwrap();
+    let n = spec.population as u64;
+    for (e, event) in (0u64..).zip(run.churn.iter_mut()) {
+        event.leaves = (0..4).map(|i| 7 + 29 * i + e).collect();
+        event.joins = (0..4).map(|i| n + 4 * e + i).collect();
+    }
+    (spec, run)
+}
+
+/// The cut of the compatibility fixture: three ingests into the epoch that
+/// follows the first membership change, so the leavers are gone and the
+/// joiners have not sealed yet.
+fn mid_churn_cut(actions: &[Action]) -> usize {
+    let joined = actions
+        .iter()
+        .position(|a| matches!(a, Action::Join(_)))
+        .unwrap();
+    let ingests = actions
+        .iter()
+        .enumerate()
+        .skip(joined)
+        .filter(|(_, a)| matches!(a, Action::Ingest(..)))
+        .map(|(i, _)| i + 1);
+    let cut = ingests.clone().nth(2).unwrap();
+    assert!(actions[joined..cut]
+        .iter()
+        .all(|a| !matches!(a, Action::Seal)));
+    cut
+}
+
+/// A checkpoint written mid-churn by commit 2467700, whose monitor kept the
+/// pre-churn snapshot and its key order until the next seal (the format's
+/// optional key order). It is cut by [`mid_churn_cut`] from
+/// `schedule_of(relocating_churn_run(), 1)` under `Engine::Sequential`:
+/// four devices have left (each relocating the last slot), four joiners
+/// have not sealed yet, and three updates are staged. Restoring it must
+/// re-align the snapshot to the current slots by key and continue
+/// byte-identically to the live run.
+#[test]
+fn a_mid_churn_checkpoint_in_the_key_order_format_resumes_identically() {
+    let (spec, run) = relocating_churn_run();
+    let actions = schedule_of(&run, 1);
+    let cut = mid_churn_cut(&actions);
+
+    let mut full = String::new();
+    let mut live = builder_for(&spec, Engine::Sequential)
+        .fleet(spec.population)
+        .build()
+        .unwrap();
+    play(&mut live, &actions, &mut full, &mut Oracle::new());
+
+    // The prefix up to the cut, then a restore from `checkpoint` and the
+    // rest — one oracle across the restore.
+    let resume = |checkpoint: &[u8]| {
+        let mut out = String::new();
+        let mut oracle = Oracle::new();
+        let mut prefix = builder_for(&spec, Engine::Sequential)
+            .fleet(spec.population)
+            .build()
+            .unwrap();
+        play(&mut prefix, &actions[..cut], &mut out, &mut oracle);
+        let mut restored =
+            Monitor::restore(checkpoint, builder_for(&spec, Engine::Sequential)).unwrap();
+        assert_eq!(restored.keys(), prefix.keys());
+        assert_eq!(restored.last_snapshot(), prefix.last_snapshot());
+        let mut own = Vec::new();
+        prefix.checkpoint(&mut own).unwrap();
+        play(&mut restored, &actions[cut..], &mut out, &mut oracle);
+        (out, own)
+    };
+    let (resumed, own) = resume(include_bytes!("fixtures/mid_churn_checkpoint.bin"));
+    assert_eq!(resumed, full);
+    // This release writes the same state; it restores just as well.
+    assert_eq!(resume(&own).0, full);
+}

@@ -306,6 +306,88 @@ fn characterization_cache_matches_full_recompute_on_a_frozen_cluster() {
     assert_eq!(oracle.checked(), 5 * CLUSTER as usize);
 }
 
+/// Churn around a frozen cluster near the origin, checked against the
+/// naive oracle at every seal: a far leave plus join (the cluster's cached
+/// verdicts are served), a leave and a join next to the cluster, a far
+/// leave that relocates that joiner, a cluster member leaving, a joiner
+/// landing inside the cluster, and a restore while a joiner has not sealed
+/// yet (the rebuilt grid must leave it out: its placeholder row sits next
+/// to the cluster).
+#[test]
+fn churn_around_a_frozen_cluster_matches_the_oracle() {
+    const N: u64 = 60;
+    let builder = || {
+        MonitorBuilder::new()
+            .staleness(StalenessPolicy::CarryForward { max_age: 10_000 })
+            .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.1)))
+    };
+    let mut m = builder().fleet(N as usize).build().unwrap();
+    let mut oracle = Oracle::new();
+    let home = |k: u64| match k {
+        0..=5 => 0.55 + 0.01 * k as f64,
+        6 => 0.27,
+        _ => 0.6 + 0.3 * (k % 37) as f64 / 37.0,
+    };
+    let row = |k: u64, x: f64| (k, vec![x]);
+    for _ in 0..2 {
+        step(
+            &mut m,
+            &mut oracle,
+            (0..N).map(|k| row(k, home(k))).collect(),
+        );
+    }
+    let jump = (0..6).map(|k| row(k, 0.01 + 0.008 * k as f64)).collect();
+    step(&mut m, &mut oracle, jump);
+    let quiet =
+        |m: &mut Monitor, oracle: &mut Oracle, cluster: usize, extra: Option<(u64, f64)>| {
+            let wiggle = if m.instant().is_multiple_of(2) {
+                0.004
+            } else {
+                -0.004
+            };
+            let mut rows = vec![row(30, home(30) + wiggle)];
+            rows.extend(extra.map(|(k, x)| row(k, x)));
+            let r = step(m, oracle, rows);
+            assert_eq!(
+                r.verdicts().len(),
+                cluster,
+                "the frozen cluster stays abnormal"
+            );
+        };
+    quiet(&mut m, &mut oracle, 6, None);
+    // Far: #40 leaves (#59 is relocated), #100 joins.
+    m.leave(40u64).unwrap();
+    m.join(100u64).unwrap();
+    quiet(&mut m, &mut oracle, 6, Some((100, 0.8)));
+    quiet(&mut m, &mut oracle, 6, None);
+    // Near: #6 leaves from within the cluster's rings, #200 joins there.
+    m.leave(6u64).unwrap();
+    m.join(200u64).unwrap();
+    quiet(&mut m, &mut oracle, 6, Some((200, 0.1)));
+    quiet(&mut m, &mut oracle, 6, None);
+    // #41 leaves far away and relocates #200 next to the cluster.
+    m.leave(41u64).unwrap();
+    quiet(&mut m, &mut oracle, 6, None);
+    // A cluster member leaves: the others lose a neighbour.
+    m.leave(2u64).unwrap();
+    quiet(&mut m, &mut oracle, 5, None);
+    quiet(&mut m, &mut oracle, 5, None);
+    // A calm joiner lands inside the cluster: one seal later the others
+    // gain a neighbour.
+    m.join(300u64).unwrap();
+    quiet(&mut m, &mut oracle, 5, Some((300, 0.03)));
+    quiet(&mut m, &mut oracle, 5, None);
+    // A joiner next to the cluster, then a restore before its first seal.
+    m.join(400u64).unwrap();
+    let mut bytes = Vec::new();
+    m.checkpoint(&mut bytes).unwrap();
+    m = Monitor::restore(bytes.as_slice(), builder()).unwrap();
+    quiet(&mut m, &mut oracle, 5, Some((400, 0.02)));
+    assert_eq!(m.last_grid_update(), Some(GridUpdate::Rebuilt));
+    quiet(&mut m, &mut oracle, 5, None);
+    assert_eq!(oracle.checked(), 6 * 7 + 5 * 6);
+}
+
 /// The acceptance bar for delta-style sealing: an epoch where ≤ 1% of the
 /// fleet reports a change re-buckets only those devices in the vicinity
 /// grid — no full rebuild (and, structurally, no full snapshot clone:
@@ -376,49 +458,57 @@ fn sealing_a_one_percent_epoch_is_incremental() {
     }
 }
 
-/// Churn forces one rebuild (dense ids shifted), after which steady
-/// sealing goes back to incremental maintenance.
+/// Joins and leaves are local edits of the slot-aligned state: once the
+/// first characterized instant has built the grid, a leave plus a join
+/// between small epochs keeps it incremental — a leaver or a relocated
+/// device among the flagged ones included — and every seal matches the
+/// oracle.
 #[test]
-fn churn_rebuilds_once_then_returns_to_incremental() {
+fn churn_keeps_the_grid_incremental() {
     let mut m = MonitorBuilder::new()
         .staleness(StalenessPolicy::CarryForward { max_age: 100 })
         .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.1)))
         .fleet(64)
         .build()
         .unwrap();
-    let seal_with_jump = |m: &mut Monitor, jumpers: &[u64], level: f64| {
-        for &k in jumpers {
-            m.ingest(k, vec![level]).unwrap();
-        }
-        m.seal().unwrap()
+    let mut oracle = Oracle::new();
+    let calm = |k: u64| (k, vec![0.5 + 0.4 * (k % 16) as f64 / 16.0]);
+    step(&mut m, &mut oracle, (0..64u64).map(calm).collect());
+    step(&mut m, &mut oracle, (0..64u64).map(calm).collect());
+    let jump = |jumpers: &[u64], level: f64| -> Vec<(u64, Vec<f64>)> {
+        jumpers.iter().map(|&k| (k, vec![level])).collect()
     };
-    m.ingest_many((0..64u64).map(|k| (k, vec![0.8]))).unwrap();
-    m.seal().unwrap();
-    m.ingest_many((0..64u64).map(|k| (k, vec![0.8]))).unwrap();
-    m.seal().unwrap();
-    seal_with_jump(&mut m, &[1, 2], 0.3);
-    seal_with_jump(&mut m, &[1, 2], 0.8);
-    assert!(matches!(
-        m.last_grid_update(),
-        Some(GridUpdate::Incremental { .. })
-    ));
-
-    // Membership changes: staged moves and the recycled buffer die. The
-    // churned interval characterizes a 63-survivor cohort (rebuild), and
-    // the next full-fleet interval re-syncs the grid to the full scope
-    // (one more rebuild) before incremental maintenance resumes.
-    m.leave(63u64).unwrap();
-    m.join(99u64).unwrap();
-    m.ingest(99u64, vec![0.8]).unwrap();
-    seal_with_jump(&mut m, &[1, 2], 0.3);
-    assert_eq!(m.last_grid_update(), Some(GridUpdate::Rebuilt));
-    seal_with_jump(&mut m, &[1, 2], 0.8);
+    step(&mut m, &mut oracle, jump(&[1, 2, 3, 63], 0.1));
     assert_eq!(m.last_grid_update(), Some(GridUpdate::Rebuilt));
 
-    // Steady again: incremental resumes.
-    seal_with_jump(&mut m, &[1, 2], 0.3);
-    assert!(matches!(
-        m.last_grid_update(),
-        Some(GridUpdate::Incremental { .. })
-    ));
+    // Each round: one device leaves (the last slot moves into its place),
+    // one joins and reports, and the jumpers move again.
+    let rounds: [(u64, &[u64]); 6] = [
+        (40, &[1, 2, 3, 63]), // flagged #63 is relocated into slot 40
+        (2, &[1, 3, 63]),     // a flagged device leaves
+        (20, &[1, 3, 63]),
+        (101, &[1, 3, 63]), // last round's joiner leaves
+        (63, &[1, 3]),      // the relocated flagged device leaves
+        (0, &[1, 3]),
+    ];
+    for (round, &(leaver, jumpers)) in rounds.iter().enumerate() {
+        let joiner = 100 + round as u64;
+        m.leave(leaver).unwrap();
+        m.join(joiner).unwrap();
+        let level = if round % 2 == 0 { 0.45 } else { 0.1 };
+        let mut rows = jump(jumpers, level);
+        rows.push((joiner, vec![0.5]));
+        let r = step(&mut m, &mut oracle, rows);
+        assert_eq!(r.population(), 64);
+        assert!(!r.verdicts().is_empty(), "round {round} characterizes");
+        assert!(
+            matches!(
+                m.last_grid_update(),
+                Some(GridUpdate::Incremental { rebucketed }) if rebucketed <= jumpers.len()
+            ),
+            "round {round}: {:?}",
+            m.last_grid_update()
+        );
+    }
+    assert!(oracle.checked() >= 2 * rounds.len());
 }
