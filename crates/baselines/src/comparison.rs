@@ -8,7 +8,7 @@
 //! a guess).
 
 use crate::Classifier;
-use anomaly_core::{Analyzer, AnomalyClass, TrajectoryTable};
+use anomaly_core::{AnalyzerCore, AnomalyClass, TrajectoryTable};
 use anomaly_qos::DeviceId;
 use anomaly_simulator::score::{self, Confusion, Prediction, TruthClass};
 use anomaly_simulator::{runner, ScenarioConfig, Simulation, StepOutcome};
@@ -110,10 +110,10 @@ pub fn compare_on_scenario(
 
         // The paper's local characterization (exact pipeline).
         let table = TrajectoryTable::from_state_pair(&outcome.pair, &abnormal);
-        let analyzer = Analyzer::new(&table, outcome.config.params);
+        let analyzer = AnalyzerCore::new(&table, outcome.config.params);
         let local: Vec<(DeviceId, AnomalyClass)> = abnormal
             .iter()
-            .map(|&j| (j, analyzer.characterize_full(j).class()))
+            .map(|&j| (j, analyzer.characterize_full(&table, j).class()))
             .collect();
         score_step(&mut confusions[0], &outcome, &local);
 

@@ -2,7 +2,7 @@
 //! on identical simulated steps (cost side of the Section II comparison).
 
 use anomaly_baselines::{Classifier, KMeansClassifier, TessellationClassifier};
-use anomaly_core::{Analyzer, TrajectoryTable};
+use anomaly_core::{AnalyzerCore, TrajectoryTable};
 use anomaly_qos::DeviceId;
 use anomaly_simulator::{ScenarioConfig, Simulation};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -33,8 +33,8 @@ fn bench_baselines(c: &mut Criterion) {
     group.bench_function("local_full_pipeline", |b| {
         b.iter(|| {
             let table = TrajectoryTable::from_state_pair(&outcome.pair, &abnormal);
-            let analyzer = Analyzer::new(&table, params);
-            black_box(analyzer.classify_all_full())
+            let analyzer = AnalyzerCore::new(&table, params);
+            black_box(analyzer.classify_all_full(&table))
         })
     });
     group.finish();

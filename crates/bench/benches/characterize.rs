@@ -1,7 +1,7 @@
 //! Benchmarks the per-step characterization pipeline (Algorithm 3 and the
 //! full NSC) on simulated paper-default scenarios.
 
-use anomaly_core::{Analyzer, TrajectoryTable};
+use anomaly_core::{AnalyzerCore, TrajectoryTable};
 use anomaly_qos::DeviceId;
 use anomaly_simulator::{ScenarioConfig, Simulation};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -22,14 +22,14 @@ fn bench_characterize(c: &mut Criterion) {
         let params = outcome.config.params;
 
         group.bench_with_input(BenchmarkId::new("analyzer_build", a), &a, |b, _| {
-            b.iter(|| black_box(Analyzer::new(&table, params)))
+            b.iter(|| black_box(AnalyzerCore::new(&table, params)))
         });
-        let analyzer = Analyzer::new(&table, params);
+        let analyzer = AnalyzerCore::new(&table, params);
         group.bench_with_input(BenchmarkId::new("classify_all_quick", a), &a, |b, _| {
-            b.iter(|| black_box(analyzer.classify_all()))
+            b.iter(|| black_box(analyzer.classify_all(&table)))
         });
         group.bench_with_input(BenchmarkId::new("classify_all_full", a), &a, |b, _| {
-            b.iter(|| black_box(analyzer.classify_all_full()))
+            b.iter(|| black_box(analyzer.classify_all_full(&table)))
         });
     }
     group.finish();

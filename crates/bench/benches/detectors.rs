@@ -1,10 +1,7 @@
 //! Throughput of the error-detection functions `a_k(j)` (the per-sample
 //! cost every monitored device pays).
 
-use anomaly_detectors::{
-    CusumDetector, Detector, EwmaDetector, HoltWintersDetector, KalmanDetector,
-    PageHinkleyDetector, ThresholdDetector, VectorDetector,
-};
+use anomaly_detectors::{Detector, EwmaDetector, ThresholdDetector, VectorDetector};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
@@ -36,18 +33,6 @@ fn bench_detectors(c: &mut Criterion) {
     });
     group.bench_function("ewma", |b| {
         b.iter(|| black_box(run(EwmaDetector::new(0.3, 4.0), &sig)))
-    });
-    group.bench_function("holt_winters", |b| {
-        b.iter(|| black_box(run(HoltWintersDetector::new(0.5, 0.2, 4.0), &sig)))
-    });
-    group.bench_function("cusum", |b| {
-        b.iter(|| black_box(run(CusumDetector::new(0.02, 0.3), &sig)))
-    });
-    group.bench_function("page_hinkley", |b| {
-        b.iter(|| black_box(run(PageHinkleyDetector::new(0.01, 0.5), &sig)))
-    });
-    group.bench_function("kalman", |b| {
-        b.iter(|| black_box(run(KalmanDetector::new(1e-4, 1e-3, 5.0), &sig)))
     });
     group.bench_function("vector_2_services", |b| {
         b.iter(|| {

@@ -2,7 +2,7 @@
 //! Figure 5 ring — the configuration where Theorem 6 is silent — comparing
 //! the cheap Algorithm 3 path against the full NSC (the Table III cost gap).
 
-use anomaly_core::{Analyzer, Params, TrajectoryTable};
+use anomaly_core::{AnalyzerCore, Params, TrajectoryTable};
 use anomaly_qos::DeviceId;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -30,12 +30,12 @@ fn bench_theorem7(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     let params = Params::new(0.05, 3).unwrap();
     let table = ring_table(4);
-    let analyzer = Analyzer::new(&table, params);
+    let analyzer = AnalyzerCore::new(&table, params);
     group.bench_function("quick_path_fig5", |b| {
         b.iter(|| black_box(analyzer.characterize(DeviceId(0))))
     });
     group.bench_function("full_nsc_fig5", |b| {
-        b.iter(|| black_box(analyzer.characterize_full(DeviceId(0))))
+        b.iter(|| black_box(analyzer.characterize_full(&table, DeviceId(0))))
     });
     group.finish();
 }

@@ -1,16 +1,18 @@
 //! Local characterization (Algorithms 3–5; Theorems 5–7; Corollary 8).
 //!
-//! [`Analyzer`] precomputes, for every abnormal device, the family of
+//! [`AnalyzerCore`] precomputes, for every abnormal device, the family of
 //! maximal r-consistent motions it belongs to (Algorithm 2) and then decides
 //! per device:
 //!
-//! * [`Analyzer::characterize`] — Algorithm 3: Theorem 5 (no dense motion ⇒
-//!   isolated), Theorem 6 (a dense motion inside `J_k(j)` ⇒ massive), else
-//!   tentatively unresolved. Cheap, misses ~0.4% of massive devices.
-//! * [`Analyzer::characterize_full`] — Algorithms 4–5: additionally runs the
-//!   necessary-and-sufficient condition of Theorem 7, searching collections
-//!   of pairwise-disjoint dense motions of the `L_k(j)` devices; the verdict
-//!   is exact (massive via Theorem 7, or unresolved via Corollary 8).
+//! * [`AnalyzerCore::characterize`] — Algorithm 3: Theorem 5 (no dense
+//!   motion ⇒ isolated), Theorem 6 (a dense motion inside `J_k(j)` ⇒
+//!   massive), else tentatively unresolved. Cheap, misses ~0.4% of massive
+//!   devices.
+//! * [`AnalyzerCore::characterize_full`] — Algorithms 4–5: additionally
+//!   runs the necessary-and-sufficient condition of Theorem 7, searching
+//!   collections of pairwise-disjoint dense motions of the `L_k(j)`
+//!   devices; the verdict is exact (massive via Theorem 7, or unresolved
+//!   via Corollary 8).
 //!
 //! The [`Cost`] attached to every verdict exposes the operation counts
 //! reported in Table III of the paper.
@@ -127,7 +129,7 @@ impl Characterization {
     }
 }
 
-/// Default bound on the number of collections the Theorem 7 search visits
+/// Bound on the number of collections the Theorem 7 search visits
 /// per device before giving up and reporting the device unresolved.
 ///
 /// The collection space is exponential in the number of disjoint escape
@@ -149,15 +151,15 @@ pub const MAX_BASE_MOTION_FOR_SUBSETS: usize = 16;
 /// reported unresolved instead of stalling the monitoring round.
 pub const DEFAULT_ENUMERATION_BUDGET: u64 = 500_000;
 
-/// The per-device slice of an [`Analyzer`]'s precomputation: `M(j)`,
+/// The per-device slice of an [`AnalyzerCore`]'s precomputation: `M(j)`,
 /// `W̄_k(j)`, and the enumeration cost, for one device.
 ///
-/// Produced by [`Analyzer::precompute_device`] — a pure function of the
+/// Produced by [`AnalyzerCore::precompute_device`] — a pure function of the
 /// table, the parameters, and one device id, so a pool of workers can
 /// compute the slices of disjoint device shards in parallel (each device's
 /// computation only reads its `2r`-neighbourhood; Definition 1's locality
 /// is what makes this embarrassingly parallel) — and merged back into a
-/// full engine by [`Analyzer::from_parts`].
+/// full engine by [`AnalyzerCore::from_parts`].
 #[derive(Debug, Clone)]
 pub struct DevicePrecompute {
     motions: Vec<DeviceSet>,
@@ -297,23 +299,28 @@ impl ComponentPartition {
     }
 }
 
-/// The owned data half of an [`Analyzer`]: every per-device precompute
-/// slice merged into id-keyed maps, with no borrow of the table.
+/// Per-population characterization engine.
 ///
-/// The split from the borrowing [`Analyzer`] wrapper serves two callers:
+/// Precomputes `M(j)` and `W̄_k(j)` for every device of a table (each
+/// computation is local to the device's `2r`-neighbourhood), merges the
+/// per-device slices into id-keyed maps and answers per-device queries.
+/// See the crate docs for an end-to-end example.
 ///
-/// * a **persistent worker pool**, which must ship one engine to `'static`
-///   worker threads (`Arc<AnalyzerCore>` beside an `Arc<TrajectoryTable>`)
-///   where a lifetime-carrying `Analyzer<'t>` cannot go;
+/// The engine owns its maps and holds no borrow of the table, which serves
+/// two callers beside the one-shot [`AnalyzerCore::new`]:
+///
+/// * a **persistent worker pool**, which ships one engine to `'static`
+///   worker threads (`Arc<AnalyzerCore>` beside an `Arc<TrajectoryTable>`);
 /// * an **incremental monitor**, which merges cached slices of unchanged
 ///   devices with freshly computed ones —
 ///   [`AnalyzerCore::from_parts`] is indifferent to where each
 ///   [`DevicePrecompute`] came from, as long as the slice is valid for the
 ///   table it is queried against.
 ///
-/// Every query takes the table the parts were computed from; handing a
-/// different table is a logic error (verdicts would be meaningless or the
-/// lookup panics on an unknown id), though never memory-unsafe.
+/// The queries that read trajectories take the table the parts were
+/// computed from; handing a different table is a logic error (verdicts
+/// would be meaningless or the lookup panics on an unknown id), though
+/// never memory-unsafe.
 #[derive(Debug, Clone)]
 pub struct AnalyzerCore {
     params: Params,
@@ -326,48 +333,23 @@ pub struct AnalyzerCore {
     /// Devices whose motion enumeration exceeded the budget; their verdict
     /// degrades conservatively to unresolved.
     overflowed: std::collections::BTreeSet<DeviceId>,
-    /// Bound on collections visited per NSC search.
-    collection_budget: u64,
 }
 
-/// Per-population characterization engine.
-///
-/// Precomputes `M(j)` and `W̄_k(j)` for every device of the table (each
-/// computation is local to the device's `2r`-neighbourhood) and answers
-/// per-device queries. See the crate docs for an end-to-end example.
-///
-/// `Analyzer` is a thin borrow-carrying wrapper over [`AnalyzerCore`],
-/// which owns the merged precompute maps; use the core directly when the
-/// engine must outlive a borrow of the table (worker pools, caches).
-#[derive(Debug, Clone)]
-pub struct Analyzer<'t> {
-    table: &'t TrajectoryTable,
-    core: AnalyzerCore,
-}
-
-impl<'t> Analyzer<'t> {
+impl AnalyzerCore {
     /// Builds the engine over all devices of `table` (conceptually `A_k`).
     ///
     /// Devices whose neighbourhood is so pathological that enumerating its
     /// maximal motions exceeds [`DEFAULT_ENUMERATION_BUDGET`] window moves
     /// are recorded as overflowed and later reported unresolved (a
     /// conservative, never-wrong verdict) instead of stalling.
-    pub fn new(table: &'t TrajectoryTable, params: Params) -> Self {
-        Analyzer::with_enumeration_budget(table, params, DEFAULT_ENUMERATION_BUDGET)
+    pub fn new(table: &TrajectoryTable, params: Params) -> Self {
+        AnalyzerCore::with_enumeration_budget(table, params, DEFAULT_ENUMERATION_BUDGET)
     }
 
-    /// Sets the bound on collections visited per Theorem 7 search; when the
-    /// budget is exhausted the device is conservatively reported
-    /// unresolved (with `Rule::Corollary8` provenance).
-    pub fn with_collection_budget(mut self, budget: u64) -> Self {
-        self.core = self.core.with_collection_budget(budget);
-        self
-    }
-
-    /// Rebuilds the engine with a custom per-device enumeration budget
+    /// Builds the engine with a custom per-device enumeration budget
     /// (window moves). Devices exceeding it are reported unresolved.
     pub fn with_enumeration_budget(
-        table: &'t TrajectoryTable,
+        table: &TrajectoryTable,
         params: Params,
         max_window_moves: u64,
     ) -> Self {
@@ -390,147 +372,10 @@ impl<'t> Analyzer<'t> {
     /// Reads only `j`'s `2r`-neighbourhood of `table`, takes no `&mut`
     /// anywhere, and depends on nothing but its arguments — workers may call
     /// it concurrently for disjoint (or even overlapping) device shards and
-    /// obtain results identical to the sequential [`Analyzer::new`] loop.
-    /// Because the result depends only on the trajectories of the
+    /// obtain results identical to the sequential [`AnalyzerCore::new`]
+    /// loop. Because the result depends only on the trajectories of the
     /// `2r`-neighbourhood, a caller may also cache it across instants and
     /// reuse it verbatim while that neighbourhood is unchanged.
-    pub fn precompute_device(
-        table: &TrajectoryTable,
-        params: &Params,
-        j: DeviceId,
-        max_window_moves: u64,
-    ) -> DevicePrecompute {
-        AnalyzerCore::precompute_device(table, params, j, max_window_moves)
-    }
-
-    /// The merge phase: assembles an engine from per-device slices.
-    ///
-    /// The result is identical to [`Analyzer::new`] whatever order the
-    /// parts arrive in — the internal maps are keyed by device id and the
-    /// overflow set is ordered — so a parallel driver may merge shard
-    /// results as workers finish. Parts may equally be a mix of freshly
-    /// computed and cached slices; see [`AnalyzerCore::from_parts`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `parts` covers exactly the devices of `table` (one
-    /// part per id, no strangers).
-    pub fn from_parts(
-        table: &'t TrajectoryTable,
-        params: Params,
-        parts: impl IntoIterator<Item = (DeviceId, DevicePrecompute)>,
-    ) -> Self {
-        Analyzer {
-            table,
-            core: AnalyzerCore::from_parts(table, params, parts),
-        }
-    }
-
-    /// Wraps an owned engine back around a table borrow. The caller is
-    /// responsible for handing the table the core's parts were computed
-    /// from (same devices, same trajectories).
-    pub fn from_core(table: &'t TrajectoryTable, core: AnalyzerCore) -> Self {
-        Analyzer { table, core }
-    }
-
-    /// The owned half of the engine, e.g. to ship to worker threads.
-    pub fn core(&self) -> &AnalyzerCore {
-        &self.core
-    }
-
-    /// Unwraps the owned half of the engine, dropping the table borrow.
-    pub fn into_core(self) -> AnalyzerCore {
-        self.core
-    }
-
-    /// Devices whose enumeration overflowed (conservatively unresolved).
-    pub fn overflowed_devices(&self) -> impl Iterator<Item = DeviceId> + '_ {
-        self.core.overflowed_devices()
-    }
-
-    /// The parameters in force.
-    pub fn params(&self) -> &Params {
-        self.core.params()
-    }
-
-    /// The table under analysis.
-    pub fn table(&self) -> &TrajectoryTable {
-        self.table
-    }
-
-    /// `M(j)`: all maximal motions containing `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is not in the table.
-    pub fn motions_of(&self, j: DeviceId) -> &[DeviceSet] {
-        self.core.motions_of(j)
-    }
-
-    /// `W̄_k(j)`: maximal τ-dense motions containing `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is not in the table.
-    pub fn wbar_of(&self, j: DeviceId) -> &[DeviceSet] {
-        self.core.wbar_of(j)
-    }
-
-    /// The epoch's spatial [`ComponentPartition`] over all dense motions.
-    pub fn component_partition(&self) -> ComponentPartition {
-        self.core.component_partition()
-    }
-
-    /// The Section V families of `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is not in the table.
-    pub fn families_of(&self, j: DeviceId) -> Families {
-        self.core.families_of(j)
-    }
-
-    /// Algorithm 3: Theorem 5 / Theorem 6 / tentative unresolved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is not in the table.
-    pub fn characterize(&self, j: DeviceId) -> Characterization {
-        self.core.characterize(self.table, j)
-    }
-
-    /// Algorithm 3 + Algorithms 4–5: exact verdict via the Theorem 7 NSC
-    /// when the fast path is inconclusive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is not in the table.
-    pub fn characterize_full(&self, j: DeviceId) -> Characterization {
-        self.core.characterize_full(self.table, j)
-    }
-
-    /// Characterizes every device with the fast path (Algorithm 3).
-    pub fn classify_all(&self) -> Vec<(DeviceId, Characterization)> {
-        self.table
-            .ids()
-            .iter()
-            .map(|&j| (j, self.characterize(j)))
-            .collect()
-    }
-
-    /// Characterizes every device exactly (with the Theorem 7 NSC).
-    pub fn classify_all_full(&self) -> Vec<(DeviceId, Characterization)> {
-        self.table
-            .ids()
-            .iter()
-            .map(|&j| (j, self.characterize_full(j)))
-            .collect()
-    }
-}
-
-impl AnalyzerCore {
-    /// Owned form of [`Analyzer::precompute_device`] — same function, same
-    /// guarantees (pure, local to `j`'s `2r`-neighbourhood).
     pub fn precompute_device(
         table: &TrajectoryTable,
         params: &Params,
@@ -562,14 +407,16 @@ impl AnalyzerCore {
         }
     }
 
-    /// Assembles an owned engine from per-device slices, in any order.
+    /// The merge phase: assembles an engine from per-device slices, in any
+    /// order.
     ///
     /// The slices may come from anywhere — a sequential loop, parallel
     /// shard workers, or a cache of previous instants' parts for devices
     /// whose `2r`-neighbourhood did not change — as long as together they
     /// cover exactly the devices of `table`. The merge result is
     /// independent of part order and provenance: the maps are keyed by
-    /// device id and the overflow set is ordered.
+    /// device id and the overflow set is ordered, so the result is identical
+    /// to [`AnalyzerCore::new`].
     ///
     /// # Panics
     ///
@@ -607,14 +454,7 @@ impl AnalyzerCore {
             wbar,
             precompute_moves,
             overflowed,
-            collection_budget: DEFAULT_COLLECTION_BUDGET,
         }
-    }
-
-    /// Sets the bound on collections visited per Theorem 7 search.
-    pub fn with_collection_budget(mut self, budget: u64) -> Self {
-        self.collection_budget = budget.max(1);
-        self
     }
 
     /// Devices whose enumeration overflowed (conservatively unresolved).
@@ -664,13 +504,13 @@ impl AnalyzerCore {
         })
     }
 
-    /// Algorithm 3 against `table`, which must be the table the parts were
-    /// computed from.
+    /// Algorithm 3: Theorem 5 / Theorem 6 / tentative unresolved. It reads
+    /// only the merged motion families, never the trajectories.
     ///
     /// # Panics
     ///
     /// Panics if no part was merged for `j`.
-    pub fn characterize(&self, _table: &TrajectoryTable, j: DeviceId) -> Characterization {
+    pub fn characterize(&self, j: DeviceId) -> Characterization {
         let mut cost = Cost {
             maximal_motions: self.motions[&j].len(),
             dense_motions: self.wbar[&j].len(),
@@ -736,7 +576,7 @@ impl AnalyzerCore {
     ///
     /// Panics if no part was merged for `j`.
     pub fn characterize_full(&self, table: &TrajectoryTable, j: DeviceId) -> Characterization {
-        let quick = self.characterize(table, j);
+        let quick = self.characterize(j);
         if quick.rule != Rule::Algorithm3 {
             return quick;
         }
@@ -767,6 +607,26 @@ impl AnalyzerCore {
                 cost,
             }
         }
+    }
+
+    /// Characterizes every device of `table` with the fast path
+    /// (Algorithm 3), in table order.
+    pub fn classify_all(&self, table: &TrajectoryTable) -> Vec<(DeviceId, Characterization)> {
+        table
+            .ids()
+            .iter()
+            .map(|&j| (j, self.characterize(j)))
+            .collect()
+    }
+
+    /// Characterizes every device of `table` exactly (with the Theorem 7
+    /// NSC), in table order.
+    pub fn classify_all_full(&self, table: &TrajectoryTable) -> Vec<(DeviceId, Characterization)> {
+        table
+            .ids()
+            .iter()
+            .map(|&j| (j, self.characterize_full(table, j)))
+            .collect()
     }
 
     /// Theorem 7 search: returns `(j ∈ M_k, collections tested)`.
@@ -837,7 +697,7 @@ impl AnalyzerCore {
                     continue;
                 }
                 pool.insert(candidate);
-                if pool.len() as u64 > self.collection_budget {
+                if pool.len() as u64 > DEFAULT_COLLECTION_BUDGET {
                     overflow = true;
                     break;
                 }
@@ -867,7 +727,7 @@ impl AnalyzerCore {
         tested: &mut u64,
     ) -> SearchOutcome {
         *tested += 1;
-        if *tested > self.collection_budget {
+        if *tested > DEFAULT_COLLECTION_BUDGET {
             return SearchOutcome::BudgetSpent;
         }
         if self.collection_violates(table, j, families, pool, chosen) {
@@ -941,7 +801,7 @@ mod tests {
     #[test]
     fn loner_is_isolated_by_theorem_5() {
         let t = simple_table();
-        let a = Analyzer::new(&t, params(3));
+        let a = AnalyzerCore::new(&t, params(3));
         let c = a.characterize(DeviceId(5));
         assert_eq!(c.class(), AnomalyClass::Isolated);
         assert_eq!(c.rule(), Rule::Theorem5);
@@ -952,7 +812,7 @@ mod tests {
     #[test]
     fn group_is_massive_by_theorem_6() {
         let t = simple_table();
-        let a = Analyzer::new(&t, params(3));
+        let a = AnalyzerCore::new(&t, params(3));
         for id in 0..5 {
             let c = a.characterize(DeviceId(id));
             assert_eq!(c.class(), AnomalyClass::Massive, "device {id}");
@@ -963,9 +823,12 @@ mod tests {
     #[test]
     fn full_agrees_with_quick_on_clear_cases() {
         let t = simple_table();
-        let a = Analyzer::new(&t, params(3));
+        let a = AnalyzerCore::new(&t, params(3));
         for &j in t.ids() {
-            assert_eq!(a.characterize(j).class(), a.characterize_full(j).class());
+            assert_eq!(
+                a.characterize(j).class(),
+                a.characterize_full(&t, j).class()
+            );
         }
     }
 
@@ -974,7 +837,7 @@ mod tests {
         // Three co-movers with τ = 3: the motion is sparse.
         let t =
             TrajectoryTable::from_pairs_1d(&[(0, 0.10, 0.50), (1, 0.11, 0.51), (2, 0.12, 0.52)]);
-        let a = Analyzer::new(&t, params(3));
+        let a = AnalyzerCore::new(&t, params(3));
         for &j in t.ids() {
             assert_eq!(a.characterize(j).class(), AnomalyClass::Isolated);
         }
@@ -992,21 +855,21 @@ mod tests {
             (4, 0.18, 0.18),
             (5, 0.22, 0.22),
         ]);
-        let a = Analyzer::new(&t, params(3));
-        let c1 = a.characterize_full(DeviceId(1));
+        let a = AnalyzerCore::new(&t, params(3));
+        let c1 = a.characterize_full(&t, DeviceId(1));
         assert_eq!(c1.class(), AnomalyClass::Unresolved);
         assert_eq!(c1.rule(), Rule::Corollary8);
         assert!(c1.cost().collections_tested >= 1);
-        let c3 = a.characterize_full(DeviceId(3));
+        let c3 = a.characterize_full(&t, DeviceId(3));
         assert_eq!(c3.class(), AnomalyClass::Massive);
     }
 
     #[test]
     fn classify_all_reports_every_device() {
         let t = simple_table();
-        let a = Analyzer::new(&t, params(3));
-        assert_eq!(a.classify_all().len(), 6);
-        assert_eq!(a.classify_all_full().len(), 6);
+        let a = AnalyzerCore::new(&t, params(3));
+        assert_eq!(a.classify_all(&t).len(), 6);
+        assert_eq!(a.classify_all_full(&t).len(), 6);
     }
 
     #[test]
@@ -1020,13 +883,13 @@ mod tests {
         // A starving budget: everything overflows, nothing stalls, and
         // every verdict is the conservative Unresolved.
         let t = simple_table();
-        let a = Analyzer::with_enumeration_budget(&t, params(3), 1);
+        let a = AnalyzerCore::with_enumeration_budget(&t, params(3), 1);
         assert_eq!(a.overflowed_devices().count(), t.len());
         for &j in t.ids() {
             let quick = a.characterize(j);
             assert_eq!(quick.class(), AnomalyClass::Unresolved);
             assert_eq!(quick.rule(), Rule::Algorithm3);
-            let full = a.characterize_full(j);
+            let full = a.characterize_full(&t, j);
             assert_eq!(full.class(), AnomalyClass::Unresolved);
         }
     }
@@ -1034,13 +897,13 @@ mod tests {
     #[test]
     fn generous_budget_matches_unbounded() {
         let t = simple_table();
-        let bounded = Analyzer::with_enumeration_budget(&t, params(3), 1_000_000);
-        let unbounded = Analyzer::new(&t, params(3));
+        let bounded = AnalyzerCore::with_enumeration_budget(&t, params(3), 1_000_000);
+        let unbounded = AnalyzerCore::new(&t, params(3));
         assert_eq!(bounded.overflowed_devices().count(), 0);
         for &j in t.ids() {
             assert_eq!(
-                bounded.characterize_full(j).class(),
-                unbounded.characterize_full(j).class()
+                bounded.characterize_full(&t, j).class(),
+                unbounded.characterize_full(&t, j).class()
             );
         }
     }
@@ -1048,7 +911,7 @@ mod tests {
     #[test]
     fn from_parts_matches_sequential_construction_in_any_order() {
         let t = simple_table();
-        let sequential = Analyzer::new(&t, params(3));
+        let sequential = AnalyzerCore::new(&t, params(3));
         // Parts computed out of order, as shard workers would deliver them.
         let mut parts: Vec<(DeviceId, DevicePrecompute)> = t
             .ids()
@@ -1056,14 +919,17 @@ mod tests {
             .map(|&j| {
                 (
                     j,
-                    Analyzer::precompute_device(&t, &params(3), j, DEFAULT_ENUMERATION_BUDGET),
+                    AnalyzerCore::precompute_device(&t, &params(3), j, DEFAULT_ENUMERATION_BUDGET),
                 )
             })
             .collect();
         parts.reverse();
-        let merged = Analyzer::from_parts(&t, params(3), parts);
+        let merged = AnalyzerCore::from_parts(&t, params(3), parts);
         for &j in t.ids() {
-            assert_eq!(sequential.characterize_full(j), merged.characterize_full(j));
+            assert_eq!(
+                sequential.characterize_full(&t, j),
+                merged.characterize_full(&t, j)
+            );
         }
         assert_eq!(
             sequential.overflowed_devices().count(),
@@ -1075,16 +941,16 @@ mod tests {
     #[should_panic(expected = "cover every device")]
     fn from_parts_rejects_incomplete_coverage() {
         let t = simple_table();
-        let one = Analyzer::precompute_device(&t, &params(3), DeviceId(0), 1_000);
-        let _ = Analyzer::from_parts(&t, params(3), vec![(DeviceId(0), one)]);
+        let one = AnalyzerCore::precompute_device(&t, &params(3), DeviceId(0), 1_000);
+        let _ = AnalyzerCore::from_parts(&t, params(3), vec![(DeviceId(0), one)]);
     }
 
     #[test]
     #[should_panic(expected = "duplicate part")]
     fn from_parts_rejects_duplicate_parts() {
         let t = simple_table();
-        let one = Analyzer::precompute_device(&t, &params(3), DeviceId(0), 1_000);
-        let _ = Analyzer::from_parts(
+        let one = AnalyzerCore::precompute_device(&t, &params(3), DeviceId(0), 1_000);
+        let _ = AnalyzerCore::from_parts(
             &t,
             params(3),
             vec![(DeviceId(0), one.clone()), (DeviceId(0), one)],
@@ -1094,7 +960,7 @@ mod tests {
     #[test]
     fn precompute_device_reports_overflow() {
         let t = simple_table();
-        let part = Analyzer::precompute_device(&t, &params(3), DeviceId(0), 1);
+        let part = AnalyzerCore::precompute_device(&t, &params(3), DeviceId(0), 1);
         assert!(part.overflowed());
     }
 
@@ -1116,7 +982,7 @@ mod tests {
     #[test]
     fn disjoint_groups_get_distinct_components_numbered_by_smallest_id() {
         let t = two_group_table();
-        let a = Analyzer::new(&t, params(3));
+        let a = AnalyzerCore::new(&t, params(3));
         let p = a.component_partition();
         assert_eq!(p.count(), 2);
         for id in [0, 1, 2, 3] {
@@ -1141,7 +1007,7 @@ mod tests {
             (4, 0.18, 0.18),
             (5, 0.22, 0.22),
         ]);
-        let a = Analyzer::new(&t, params(3));
+        let a = AnalyzerCore::new(&t, params(3));
         let p = a.component_partition();
         assert_eq!(p.count(), 1);
         for id in 1..=5 {
@@ -1152,14 +1018,14 @@ mod tests {
     #[test]
     fn component_partition_is_independent_of_part_order() {
         let t = two_group_table();
-        let sequential = Analyzer::new(&t, params(3)).component_partition();
+        let sequential = AnalyzerCore::new(&t, params(3)).component_partition();
         let mut parts: Vec<(DeviceId, DevicePrecompute)> = t
             .ids()
             .iter()
             .map(|&j| {
                 (
                     j,
-                    Analyzer::precompute_device(&t, &params(3), j, DEFAULT_ENUMERATION_BUDGET),
+                    AnalyzerCore::precompute_device(&t, &params(3), j, DEFAULT_ENUMERATION_BUDGET),
                 )
             })
             .collect();
@@ -1168,7 +1034,7 @@ mod tests {
             parts.iter().map(|(j, part)| (*j, part.dense())).collect();
         let from_slices = ComponentPartition::from_dense_sets(dense_slices);
         assert_eq!(sequential, from_slices);
-        let merged = Analyzer::from_parts(&t, params(3), parts).component_partition();
+        let merged = AnalyzerCore::from_parts(&t, params(3), parts).component_partition();
         assert_eq!(sequential, merged);
     }
 

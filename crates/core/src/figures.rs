@@ -10,7 +10,7 @@
 //! * Figure 4(a)/(b) — the `J_k(j)` / `L_k(j)` neighbourhood split;
 //! * Figure 5 — the ring where Theorem 6 misses but Theorem 7 decides.
 
-use crate::characterize::{Analyzer, AnomalyClass, Rule};
+use crate::characterize::{AnalyzerCore, AnomalyClass, Rule};
 use crate::maximal::{maximal_motions, MotionOps};
 use crate::observer::{brute_force_classes, enumerate_anomaly_partitions};
 use crate::params::Params;
@@ -143,10 +143,10 @@ fn figure_3_acp_impossibility() {
     assert!(classes.isolated.is_empty());
 
     // The local algorithms agree with the omniscient observer.
-    let analyzer = Analyzer::new(&t, params);
+    let analyzer = AnalyzerCore::new(&t, params);
     for &j in t.ids() {
         assert_eq!(
-            analyzer.characterize_full(j).class(),
+            analyzer.characterize_full(&t, j).class(),
             classes.class_of(j).unwrap(),
             "device {j}"
         );
@@ -169,7 +169,7 @@ fn figure_4a_neighbourhood_split_all_j() {
     assert!(found.contains(&DeviceSet::from([1, 2, 3, 4])), "{found:?}");
     assert!(found.contains(&DeviceSet::from([2, 4, 5])), "{found:?}");
 
-    let analyzer = Analyzer::new(&t, params);
+    let analyzer = AnalyzerCore::new(&t, params);
     let fam = analyzer.families_of(DeviceId(4));
     assert_eq!(fam.d_set, DeviceSet::from([1, 2, 3, 4, 5]));
     assert_eq!(fam.j_set, DeviceSet::from([1, 2, 3, 4, 5]));
@@ -197,7 +197,7 @@ fn figure_4b_neighbourhood_split_with_l() {
     let found = motions(&t, params.window());
     assert!(found.contains(&DeviceSet::from([5, 6, 7])), "{found:?}");
 
-    let analyzer = Analyzer::new(&t, params);
+    let analyzer = AnalyzerCore::new(&t, params);
     let fam = analyzer.families_of(DeviceId(4));
     assert_eq!(fam.d_set, DeviceSet::from([1, 2, 3, 4, 5]));
     assert_eq!(fam.j_set, DeviceSet::from([1, 2, 3, 4]));
@@ -234,7 +234,7 @@ fn figure_5_theorem_7_catches_what_theorem_6_misses() {
         assert!(found.contains(&DeviceSet::from(quad)), "missing {quad:?}");
     }
 
-    let analyzer = Analyzer::new(&t, params);
+    let analyzer = AnalyzerCore::new(&t, params);
     // W̄(1) = {{1,2,3,4},{1,2,7,8}}; J(1) = {1,2}; L(1) = {3,4,7,8}.
     let fam = analyzer.families_of(DeviceId(1));
     assert_eq!(fam.j_set, DeviceSet::from([1, 2]));
@@ -247,7 +247,7 @@ fn figure_5_theorem_7_catches_what_theorem_6_misses() {
             AnomalyClass::Unresolved,
             "Theorem 6 must be silent on device {id}"
         );
-        let full = analyzer.characterize_full(DeviceId(id));
+        let full = analyzer.characterize_full(&t, DeviceId(id));
         assert_eq!(full.class(), AnomalyClass::Massive, "device {id}");
         assert_eq!(full.rule(), Rule::Theorem7);
         assert!(full.cost().collections_tested >= 2);

@@ -19,10 +19,11 @@
 //! | Algorithm 2 (`maxMotions`) | [`maximal_motions`] / [`maximal_motions_involving`] |
 //! | Anomaly partition, Algorithm 1 (Lemma 2) | [`partition::build_partition`], [`partition::AnomalyPartition`] |
 //! | Families `W̄_k(j)`, `D_k(j)`, `J_k(j)`, `L_k(j)` | [`families::Families`] |
-//! | Theorem 5 (NSC for `I_k`) | [`Analyzer::characterize`] fast path |
-//! | Theorem 6 (sufficient for `M_k`), Algorithm 3 | [`Analyzer::characterize`] |
-//! | Theorem 7 (NSC for `M_k`), Algorithms 4–5 | [`Analyzer::characterize_full`] |
-//! | Corollary 8 (NSC for `U_k`) | [`Analyzer::characterize_full`] |
+//! | Theorem 5 (NSC for `I_k`) | [`AnalyzerCore::characterize`] fast path |
+//! | Theorem 6 (sufficient for `M_k`), Algorithm 3 | [`AnalyzerCore::characterize`] |
+//! | Theorem 7 (NSC for `M_k`), Algorithms 4–5 | [`AnalyzerCore::characterize_full`] |
+//! | Corollary 8 (NSC for `U_k`) | [`AnalyzerCore::characterize_full`] |
+//! | Connected components of dense motions (spatial identity) | [`ComponentPartition`], [`AnalyzerCore::component_partition`] |
 //! | Omniscient observer, Relations (2)–(3) | [`observer::brute_force_classes`] |
 //!
 //! # Example
@@ -31,7 +32,7 @@
 //! the group is characterized as massive and the loner as isolated:
 //!
 //! ```
-//! use anomaly_core::{Analyzer, AnomalyClass, Params, TrajectoryTable};
+//! use anomaly_core::{AnalyzerCore, AnomalyClass, Params, TrajectoryTable};
 //! use anomaly_qos::{DeviceId, QosSpace, Snapshot, StatePair};
 //!
 //! let space = QosSpace::new(1)?;
@@ -47,10 +48,15 @@
 //! let abnormal: Vec<DeviceId> = (0..6).map(DeviceId).collect();
 //! let params = Params::new(0.03, 3)?;
 //! let table = TrajectoryTable::from_state_pair(&pair, &abnormal);
-//! let analyzer = Analyzer::new(&table, params);
+//! let analyzer = AnalyzerCore::new(&table, params);
 //!
 //! assert_eq!(analyzer.characterize(DeviceId(0)).class(), AnomalyClass::Massive);
 //! assert_eq!(analyzer.characterize(DeviceId(5)).class(), AnomalyClass::Isolated);
+//! // The exact verdict (Theorem 7 / Corollary 8) reads the trajectories.
+//! assert_eq!(
+//!     analyzer.characterize_full(&table, DeviceId(0)).class(),
+//!     AnomalyClass::Massive
+//! );
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -74,8 +80,8 @@ mod table;
 mod figures;
 
 pub use characterize::{
-    Analyzer, AnalyzerCore, AnomalyClass, Characterization, ComponentPartition, Cost,
-    DevicePrecompute, Rule, DEFAULT_COLLECTION_BUDGET, DEFAULT_ENUMERATION_BUDGET,
+    AnalyzerCore, AnomalyClass, Characterization, ComponentPartition, Cost, DevicePrecompute, Rule,
+    DEFAULT_COLLECTION_BUDGET, DEFAULT_ENUMERATION_BUDGET,
 };
 pub use families::Families;
 pub use local::LocalContext;

@@ -14,7 +14,7 @@
 //! at the bottom machine-checks the locality claim: the verdict from the
 //! `4r` ball always equals the verdict computed from the full system state.
 
-use crate::characterize::{Analyzer, Characterization};
+use crate::characterize::{AnalyzerCore, Characterization};
 use crate::params::Params;
 use crate::table::TrajectoryTable;
 use anomaly_qos::{DeviceId, StatePair};
@@ -90,7 +90,7 @@ impl LocalContext {
 
     /// Runs the exact characterization (Algorithms 3–5) on the local view.
     pub fn characterize(&self) -> Characterization {
-        Analyzer::new(&self.table, self.params).characterize_full(self.device)
+        AnalyzerCore::new(&self.table, self.params).characterize_full(&self.table, self.device)
     }
 }
 
@@ -184,13 +184,13 @@ mod tests {
 
             // Global verdicts.
             let table = TrajectoryTable::from_state_pair(&pair, &abnormal);
-            let analyzer = Analyzer::new(&table, params);
+            let analyzer = AnalyzerCore::new(&table, params);
 
             for &j in &abnormal {
                 let local = LocalContext::from_state_pair(&pair, &abnormal, j, params);
                 prop_assert_eq!(
                     local.characterize().class(),
-                    analyzer.characterize_full(j).class(),
+                    analyzer.characterize_full(&table, j).class(),
                     "device {} local != global", j
                 );
             }

@@ -169,7 +169,7 @@ pub fn global_maximal_motions(table: &TrajectoryTable, params: &Params) -> Vec<D
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characterize::Analyzer;
+    use crate::characterize::AnalyzerCore;
     use proptest::prelude::*;
 
     fn params(tau: usize) -> Params {
@@ -201,9 +201,9 @@ mod tests {
             let t = TrajectoryTable::from_pairs_1d(&rows);
             let pr = params(tau);
             let truth = brute_force_classes(&t, &pr, 2_000_000);
-            let analyzer = Analyzer::new(&t, pr);
+            let analyzer = AnalyzerCore::new(&t, pr);
             for &j in t.ids() {
-                let local = analyzer.characterize_full(j).class();
+                let local = analyzer.characterize_full(&t, j).class();
                 prop_assert_eq!(
                     Some(local),
                     truth.class_of(j),
@@ -231,7 +231,7 @@ mod tests {
             let t = TrajectoryTable::from_pairs_1d(&rows);
             let pr = params(2);
             let truth = brute_force_classes(&t, &pr, 2_000_000);
-            let analyzer = Analyzer::new(&t, pr);
+            let analyzer = AnalyzerCore::new(&t, pr);
             for &j in t.ids() {
                 match analyzer.characterize(j).class() {
                     AnomalyClass::Isolated => prop_assert!(truth.isolated.contains(j)),

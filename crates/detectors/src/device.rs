@@ -7,7 +7,7 @@ use crate::{Detector, StateError, StateReader, StateWriter, Verdict};
 /// service), a `DeviceDetector` judges the full `d`-dimensional QoS sample a
 /// device takes at each instant. The monitoring pipeline stores one
 /// `Box<dyn DeviceDetector>` per device, so fleets can mix detector
-/// families per device — EWMA gateways next to CUSUM set-top boxes.
+/// families per device — EWMA gateways next to threshold set-top boxes.
 ///
 /// Implementations provided here:
 ///
@@ -26,11 +26,11 @@ use crate::{Detector, StateError, StateReader, StateWriter, Verdict};
 /// # Example
 ///
 /// ```
-/// use anomaly_detectors::{CusumDetector, DeviceDetector, EwmaDetector, VectorDetector};
+/// use anomaly_detectors::{DeviceDetector, EwmaDetector, ThresholdDetector, VectorDetector};
 ///
 /// let mut fleet: Vec<Box<dyn DeviceDetector>> = vec![
 ///     Box::new(EwmaDetector::new(0.3, 4.0)), // 1-service device
-///     Box::new(VectorDetector::homogeneous(1, || CusumDetector::new(0.05, 0.5))),
+///     Box::new(VectorDetector::homogeneous(1, || ThresholdDetector::with_delta(0.2))),
 /// ];
 /// for device in &mut fleet {
 ///     assert_eq!(device.services(), 1);

@@ -162,7 +162,7 @@ impl DeviceDetector for VectorDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CusumDetector, EwmaDetector, ThresholdDetector};
+    use crate::{EwmaDetector, ThresholdDetector};
 
     #[test]
     fn or_semantics_over_services() {
@@ -185,7 +185,7 @@ mod tests {
     fn heterogeneous_detectors_compose() {
         let mut dev = VectorDetector::new(vec![
             Box::new(EwmaDetector::new(0.3, 4.0)) as Box<dyn Detector>,
-            Box::new(CusumDetector::new(0.02, 0.3)) as Box<dyn Detector>,
+            Box::new(ThresholdDetector::with_delta(0.2)) as Box<dyn Detector>,
         ]);
         for _ in 0..50 {
             assert!(!dev.observe_vector(&[0.9, 0.7]).is_anomalous());

@@ -16,7 +16,7 @@
 //!   granularity discussion of Section VII-C).
 
 use crate::sim::StepOutcome;
-use anomaly_core::{Analyzer, AnomalyClass, Params, TrajectoryTable};
+use anomaly_core::{AnalyzerCore, AnomalyClass, Params, TrajectoryTable};
 use anomaly_qos::DeviceId;
 
 /// What a gateway should do after self-characterizing.
@@ -50,11 +50,11 @@ pub struct GatewayReport {
 pub fn gateway_reports(outcome: &StepOutcome, params: Params) -> Vec<GatewayReport> {
     let abnormal: Vec<DeviceId> = outcome.abnormal().iter().collect();
     let table = TrajectoryTable::from_state_pair(&outcome.pair, &abnormal);
-    let analyzer = Analyzer::new(&table, params);
+    let analyzer = AnalyzerCore::new(&table, params);
     abnormal
         .into_iter()
         .map(|device| {
-            let class = analyzer.characterize_full(device).class();
+            let class = analyzer.characterize_full(&table, device).class();
             let action = match class {
                 AnomalyClass::Isolated => ReportAction::NotifyIsp,
                 AnomalyClass::Massive => ReportAction::NotifyOtt,

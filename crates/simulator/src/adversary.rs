@@ -16,7 +16,7 @@
 
 use crate::config::{ScenarioConfig, SimulationError};
 use crate::generator::Simulation;
-use anomaly_core::{Analyzer, AnomalyClass, TrajectoryTable};
+use anomaly_core::{AnalyzerCore, AnomalyClass, TrajectoryTable};
 use anomaly_qos::{DeviceId, Point, StatePair};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,8 +94,8 @@ pub fn attack_on_pair(
 ) -> AttackReport {
     let params = config.params;
     let clean_table = TrajectoryTable::from_state_pair(pair, abnormal);
-    let clean = Analyzer::new(&clean_table, params)
-        .characterize_full(victim)
+    let clean = AnalyzerCore::new(&clean_table, params)
+        .characterize_full(&clean_table, victim)
         .class();
 
     // Fabricated devices get ids above the honest population.
@@ -124,8 +124,8 @@ pub fn attack_on_pair(
         rows.push((DeviceId(base_id + i as u32), row));
     }
     let attacked_table = TrajectoryTable::from_concatenated(pair.dim(), rows);
-    let attacked = Analyzer::new(&attacked_table, params)
-        .characterize_full(victim)
+    let attacked = AnalyzerCore::new(&attacked_table, params)
+        .characterize_full(&attacked_table, victim)
         .class();
 
     AttackReport {

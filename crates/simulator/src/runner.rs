@@ -6,7 +6,7 @@
 //! (Figure 8's missed-detection measure).
 
 use crate::generator::StepOutcome;
-use anomaly_core::{Analyzer, AnomalyClass, Rule, TrajectoryTable};
+use anomaly_core::{AnalyzerCore, AnomalyClass, Rule, TrajectoryTable};
 use anomaly_qos::DeviceId;
 
 /// Per-step characterization summary.
@@ -65,7 +65,7 @@ impl StepReport {
 pub fn analyze_step(outcome: &StepOutcome, full: bool) -> StepReport {
     let abnormal: Vec<DeviceId> = outcome.abnormal().iter().collect();
     let table = TrajectoryTable::from_state_pair(&outcome.pair, &abnormal);
-    let analyzer = Analyzer::new(&table, outcome.config.params);
+    let analyzer = AnalyzerCore::new(&table, outcome.config.params);
     let tau = outcome.config.params.tau();
     let truth_isolated = outcome.truth.isolated_devices(tau);
 
@@ -80,7 +80,7 @@ pub fn analyze_step(outcome: &StepOutcome, full: bool) -> StepReport {
 
     for &j in &abnormal {
         let c = if full {
-            analyzer.characterize_full(j)
+            analyzer.characterize_full(&table, j)
         } else {
             analyzer.characterize(j)
         };

@@ -3,20 +3,19 @@
 //! set A_k -> local characterization — all through the `Monitor`'s
 //! streaming front-end (`ingest` / `seal`).
 //!
-//! The paper assumes the detection functions `a_k(j)` exist (Section III-A,
-//! citing Holt-Winters and CUSUM); this example actually runs them. Twelve
-//! devices stream noisy QoS samples through per-device Holt-Winters
-//! detectors — but like a real collection pipeline, their reports arrive in
-//! scrambled order, sometimes twice, and sometimes not at all (a
-//! `CarryForward` staleness policy bridges the gap). At some instant a
-//! shared incident hits eight devices and an unrelated local fault hits one
-//! more; the sealed epoch builds A_k and the characterization separates the
-//! two incidents.
+//! The paper leaves the detection functions `a_k(j)` abstract (Section
+//! III-A); this example actually runs one. Twelve devices stream noisy QoS
+//! samples through per-device EWMA detectors — but like a real collection
+//! pipeline, their reports arrive in scrambled order, sometimes twice, and
+//! sometimes not at all (a `CarryForward` staleness policy bridges the
+//! gap). At some instant a shared incident hits eight devices and an
+//! unrelated local fault hits one more; the sealed epoch builds A_k and the
+//! characterization separates the two incidents.
 //!
 //! Run with: `cargo run --example streaming_detection`
 
 use anomaly_characterization::core::AnomalyClass;
-use anomaly_characterization::detectors::HoltWintersDetector;
+use anomaly_characterization::detectors::EwmaDetector;
 use anomaly_characterization::pipeline::{
     DeviceKey, EventDeltaKind, MonitorBuilder, StalenessPolicy,
 };
@@ -51,8 +50,8 @@ fn arrival_order(t: usize) -> Vec<u64> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // One Holt-Winters detector per device (trend-aware forecasting);
-    // device #11's reports are flaky, so silent epochs carry its last
+    // One EWMA detector per device (a smoothed forecast with a residual
+    // σ-band); device #11's reports are flaky, so silent epochs carry its last
     // position forward for up to 3 instants.
     let mut monitor = MonitorBuilder::new()
         .radius(0.03)
@@ -61,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Keep an anomaly event open across up to 3 quiet epochs, so the
         // incident and the repair rebound correlate into one event.
         .debounce(3)
-        .detector_factory(|_key| Box::new(HoltWintersDetector::new(0.5, 0.2, 4.0)))
+        .detector_factory(|_key| Box::new(EwmaDetector::new(0.5, 4.0)))
         .fleet(DEVICES)
         .build()?;
 

@@ -309,7 +309,7 @@ impl MonitorBuilder {
 mod tests {
     use super::*;
     use anomaly_core::ParamsError;
-    use anomaly_detectors::CusumDetector;
+    use anomaly_detectors::ThresholdDetector;
 
     #[test]
     fn defaults_build_an_empty_paper_point_monitor() {
@@ -393,7 +393,7 @@ mod tests {
     fn factory_service_mismatch_is_rejected() {
         let err = MonitorBuilder::new()
             .services(2)
-            .detector_factory(|_| Box::new(CusumDetector::new(0.05, 0.5))) // 1 service
+            .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.2))) // 1 service
             .fleet(1)
             .build()
             .unwrap_err();

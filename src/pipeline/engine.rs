@@ -77,10 +77,10 @@ pub enum GridMaintenance {
     /// Diff the newly indexed snapshot against the previous one and
     /// re-bucket only the devices whose grid cell changed
     /// ([`GridIndex::apply_moves`](anomaly_qos::GridIndex::apply_moves));
-    /// the index is rebuilt from scratch only when the indexed scope changes
-    /// (the first characterized instant, churn, a reset). On a mostly-calm
-    /// fleet the per-instant index cost is proportional to the churn, not
-    /// the population.
+    /// joins and leaves edit the index in place, and it is rebuilt from
+    /// scratch only at the first characterized instant after build, reset
+    /// or restore. On a mostly-calm fleet the per-instant index cost is
+    /// proportional to the churn, not the population.
     #[default]
     Incremental,
 }

@@ -59,7 +59,7 @@
 //! Everything here is deterministic: events are processed in id order,
 //! devices in key order, and the tracker consumes only the (already
 //! engine-independent) report — so event streams are byte-identical across
-//! [`Engine`](super::Engine) variants and grid-maintenance modes.
+//! [`Engine`](super::Engine) variants and worker counts.
 
 use super::key::DeviceKey;
 use super::report::{Report, ReportSummary};

@@ -69,8 +69,9 @@ pub type DetectorFactory = Box<dyn Fn(DeviceKey) -> Box<dyn DeviceDetector>>;
 ///   slot-aligned state in place and invalidate only the cached verdicts
 ///   within `4r` of the devices involved, and a joiner is characterized
 ///   from its second sealed instant on;
-/// * accepts any [`DeviceDetector`] implementation per device, so fleets
-///   mix EWMA, CUSUM, Kalman, or Holt-Winters models freely;
+/// * accepts any [`DeviceDetector`] implementation per device — the plug
+///   point for the error-detection function `a_k(j)`, which the paper
+///   leaves abstract — so fleets mix detector families freely;
 /// * reuses its vicinity grid and snapshot buffers across instants and
 ///   reports per-instant wall-clock timings.
 ///
@@ -1354,7 +1355,7 @@ mod tests {
     use super::super::builder::MonitorBuilder;
     use super::*;
     use anomaly_core::AnomalyClass;
-    use anomaly_detectors::{CusumDetector, EwmaDetector};
+    use anomaly_detectors::{EwmaDetector, ThresholdDetector};
 
     fn warmed(n: usize) -> Monitor {
         let mut m = MonitorBuilder::new().fleet(n).build().unwrap();
@@ -1477,13 +1478,13 @@ mod tests {
     #[test]
     fn leaving_returns_the_warmed_detector() {
         let mut m = MonitorBuilder::new()
-            .detector_factory(|_| Box::new(CusumDetector::new(0.05, 0.5)))
+            .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.2)))
             .fleet(2)
             .build()
             .unwrap();
         let det = m.leave(0u64).unwrap();
         assert_eq!(det.services(), 1);
-        assert!(det.description().contains("cusum"));
+        assert!(det.description().contains("threshold"));
         // And it can re-join elsewhere.
         m.join_with(7u64, det).unwrap();
         assert!(m.contains(DeviceKey(7)));

@@ -14,9 +14,9 @@
 //! keeps them parked on channel receives between epochs, and ships each
 //! phase to them as [`Job`]s over per-worker channels.
 //!
-//! Inputs are shared as `Arc`s — which is exactly why the borrowing
-//! `Analyzer<'t>` cannot be used here and the owned
-//! [`AnalyzerCore`] exists. A job consumes its `Arc`s before reporting its
+//! Inputs are shared as `Arc`s: the engine is an owned [`AnalyzerCore`]
+//! beside an `Arc<TrajectoryTable>`, with no borrow to tie a job to the
+//! caller's stack. A job consumes its `Arc`s before reporting its
 //! result, and the result channel's happens-before edge guarantees the
 //! caller can reclaim sole ownership (e.g. of the [`StatePair`]) once every
 //! result has been collected.

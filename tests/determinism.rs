@@ -2,7 +2,7 @@
 //! its seed, and the characterization itself is deterministic.
 
 use anomaly_characterization::baselines::{Classifier, KMeansClassifier};
-use anomaly_characterization::core::{Analyzer, TrajectoryTable};
+use anomaly_characterization::core::{AnalyzerCore, TrajectoryTable};
 use anomaly_characterization::network::{FaultTarget, NetworkConfig, NetworkSimulation};
 use anomaly_characterization::pipeline::{Monitor, MonitorBuilder};
 use anomaly_characterization::qos::DeviceId;
@@ -43,9 +43,9 @@ fn characterization_is_a_pure_function_of_the_table() {
     let outcome = sim.step();
     let abnormal: Vec<DeviceId> = outcome.abnormal().iter().collect();
     let table = TrajectoryTable::from_state_pair(&outcome.pair, &abnormal);
-    let a1 = Analyzer::new(&table, outcome.config.params);
-    let a2 = Analyzer::new(&table, outcome.config.params);
-    assert_eq!(a1.classify_all_full(), a2.classify_all_full());
+    let a1 = AnalyzerCore::new(&table, outcome.config.params);
+    let a2 = AnalyzerCore::new(&table, outcome.config.params);
+    assert_eq!(a1.classify_all_full(&table), a2.classify_all_full(&table));
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! checked for internal consistency and against the omniscient observer.
 
 use anomaly_characterization::core::observer::brute_force_classes;
-use anomaly_characterization::core::{Analyzer, AnomalyClass, Params, Rule, TrajectoryTable};
+use anomaly_characterization::core::{AnalyzerCore, AnomalyClass, Params, Rule, TrajectoryTable};
 use anomaly_characterization::detectors::ThresholdDetector;
 use anomaly_characterization::pipeline::MonitorBuilder;
 use anomaly_characterization::qos::DeviceId;
@@ -36,10 +36,10 @@ fn quick_and_full_only_differ_on_unresolved_devices() {
         let outcome = sim.step();
         let abnormal: Vec<DeviceId> = outcome.abnormal().iter().collect();
         let table = TrajectoryTable::from_state_pair(&outcome.pair, &abnormal);
-        let analyzer = Analyzer::new(&table, outcome.config.params);
+        let analyzer = AnalyzerCore::new(&table, outcome.config.params);
         for &j in table.ids() {
             let quick = analyzer.characterize(j);
-            let full = analyzer.characterize_full(j);
+            let full = analyzer.characterize_full(&table, j);
             if quick.rule() != Rule::Algorithm3 {
                 assert_eq!(quick.class(), full.class(), "seed {seed} device {j}");
             } else {
@@ -74,10 +74,10 @@ fn local_equals_observer_on_simulated_steps() {
         let table = TrajectoryTable::from_state_pair(&outcome.pair, &abnormal);
         let params = outcome.config.params;
         let truth = brute_force_classes(&table, &params, 5_000_000);
-        let analyzer = Analyzer::new(&table, params);
+        let analyzer = AnalyzerCore::new(&table, params);
         for &j in table.ids() {
             assert_eq!(
-                Some(analyzer.characterize_full(j).class()),
+                Some(analyzer.characterize_full(&table, j).class()),
                 truth.class_of(j),
                 "seed {seed} device {j}"
             );
@@ -104,9 +104,9 @@ fn massive_truth_mostly_classified_massive_when_r3_enforced() {
     let truly_massive = outcome.truth.massive_devices(tau);
     let abnormal: Vec<DeviceId> = outcome.abnormal().iter().collect();
     let table = TrajectoryTable::from_state_pair(&outcome.pair, &abnormal);
-    let analyzer = Analyzer::new(&table, outcome.config.params);
+    let analyzer = AnalyzerCore::new(&table, outcome.config.params);
     for j in &truly_massive {
-        let class = analyzer.characterize_full(j).class();
+        let class = analyzer.characterize_full(&table, j).class();
         assert_ne!(
             class,
             AnomalyClass::Isolated,
@@ -135,7 +135,7 @@ fn isolated_truth_never_certainly_massive_when_r3_enforced() {
 
 /// The served Monitor surface and the bare engine agree verdict-for-verdict
 /// on simulated data: a monitor fed the simulator's two snapshots flags via
-/// delta thresholds and characterizes exactly like a hand-built Analyzer
+/// delta thresholds and characterizes exactly like a hand-built AnalyzerCore
 /// over the same flagged set.
 #[test]
 fn monitor_surface_matches_direct_analyzer_on_simulated_steps() {
@@ -166,11 +166,11 @@ fn monitor_surface_matches_direct_analyzer_on_simulated_steps() {
 
         let flagged: Vec<DeviceId> = report.verdicts().iter().map(|v| v.id).collect();
         let table = TrajectoryTable::from_state_pair(&outcome.pair, &flagged);
-        let analyzer = Analyzer::new(&table, params);
+        let analyzer = AnalyzerCore::new(&table, params);
         for v in report.verdicts() {
             assert_eq!(
                 v.class(),
-                analyzer.characterize_full(v.id).class(),
+                analyzer.characterize_full(&table, v.id).class(),
                 "seed {seed} device {}",
                 v.id
             );
@@ -206,15 +206,15 @@ fn params_flow_through_the_pipeline() {
     let abnormal: Vec<DeviceId> = outcome.abnormal().iter().collect();
     let table = TrajectoryTable::from_state_pair(&outcome.pair, &abnormal);
 
-    let strict = Analyzer::new(&table, Params::new(0.03, 3).unwrap());
-    let lax = Analyzer::new(&table, Params::new(0.03, 30).unwrap());
+    let strict = AnalyzerCore::new(&table, Params::new(0.03, 3).unwrap());
+    let lax = AnalyzerCore::new(&table, Params::new(0.03, 30).unwrap());
     let massive_strict = strict
-        .classify_all_full()
+        .classify_all_full(&table)
         .iter()
         .filter(|(_, c)| c.class() == AnomalyClass::Massive)
         .count();
     let massive_lax = lax
-        .classify_all_full()
+        .classify_all_full(&table)
         .iter()
         .filter(|(_, c)| c.class() == AnomalyClass::Massive)
         .count();

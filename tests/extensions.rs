@@ -3,7 +3,7 @@
 //! scenario traces, incident schedules, and the fleet-monitor pipeline.
 
 use anomaly_characterization::core::{AnomalyClass, Params};
-use anomaly_characterization::detectors::{CusumDetector, VectorDetector};
+use anomaly_characterization::detectors::{ThresholdDetector, VectorDetector};
 use anomaly_characterization::network::{
     FaultTarget, Incident, IncidentSchedule, NetworkConfig, NetworkSimulation,
 };
@@ -75,7 +75,7 @@ fn granularity_curve_decreases_to_zero() {
 
 #[test]
 fn trace_roundtrip_preserves_characterization() {
-    use anomaly_characterization::core::{Analyzer, TrajectoryTable};
+    use anomaly_characterization::core::{AnalyzerCore, TrajectoryTable};
     let mut sim = Simulation::new(small_config(400)).unwrap();
     let outcome = sim.step();
     let mut trace = Trace::new(400, 2, outcome.config.params);
@@ -85,9 +85,12 @@ fn trace_roundtrip_preserves_characterization() {
     let abnormal: Vec<DeviceId> = outcome.abnormal().iter().collect();
     let original_table = TrajectoryTable::from_state_pair(&outcome.pair, &abnormal);
     let replayed_table = TrajectoryTable::from_state_pair(&parsed.steps[0].pair, &abnormal);
-    let a1 = Analyzer::new(&original_table, outcome.config.params);
-    let a2 = Analyzer::new(&replayed_table, outcome.config.params);
-    assert_eq!(a1.classify_all_full(), a2.classify_all_full());
+    let a1 = AnalyzerCore::new(&original_table, outcome.config.params);
+    let a2 = AnalyzerCore::new(&replayed_table, outcome.config.params);
+    assert_eq!(
+        a1.classify_all_full(&original_table),
+        a2.classify_all_full(&replayed_table)
+    );
 }
 
 #[test]
@@ -107,16 +110,17 @@ fn incident_timeline_through_the_pipeline() {
             severity: 0.5,
         },
     }]);
-    // CUSUM detectors: they re-anchor their reference after each alarm, so
-    // both the downward onset and the upward recovery fire exactly once,
-    // and the drift allowance absorbs the measurement jitter entirely.
+    // Delta-threshold detectors: they compare each sample with the
+    // previous one, so both the downward onset and the upward recovery
+    // fire exactly once, and the delta bound absorbs the measurement
+    // jitter entirely.
     let mut monitor = MonitorBuilder::new()
         .radius(0.02)
         .tau(3)
         .services(2)
         .detector_factory(|_key| {
             Box::new(VectorDetector::homogeneous(2, || {
-                CusumDetector::new(0.02, 0.3)
+                ThresholdDetector::with_delta(0.1)
             }))
         })
         .devices(net.topology().gateways().iter().map(|g| g.0))

@@ -257,14 +257,16 @@ fn radius_boundaries_are_enforced_through_the_builder() {
 #[test]
 fn heterogeneous_detector_fleets_mix_families() {
     use anomaly_characterization::detectors::{
-        CusumDetector, DeviceDetector, EwmaDetector, HoltWintersDetector,
+        DeviceDetector, EwmaDetector, ThresholdDetector, VectorDetector,
     };
     let mut m = MonitorBuilder::new()
         .detector_factory(|key| -> Box<dyn DeviceDetector> {
             match key.0 % 3 {
                 0 => Box::new(EwmaDetector::new(0.3, 4.0)),
-                1 => Box::new(CusumDetector::new(0.02, 0.3)),
-                _ => Box::new(HoltWintersDetector::new(0.5, 0.2, 4.0)),
+                1 => Box::new(ThresholdDetector::with_delta(0.2)),
+                _ => Box::new(VectorDetector::homogeneous(1, || {
+                    EwmaDetector::new(0.5, 4.0)
+                })),
             }
         })
         .fleet(9)

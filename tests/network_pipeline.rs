@@ -2,7 +2,7 @@
 //! characterization core — the full deployment pipeline of the paper's
 //! motivating use case.
 
-use anomaly_characterization::core::{Analyzer, AnomalyClass, Params, TrajectoryTable};
+use anomaly_characterization::core::{AnalyzerCore, AnomalyClass, Params, TrajectoryTable};
 use anomaly_characterization::detectors::{EwmaDetector, VectorDetector};
 use anomaly_characterization::network::{
     gateway_reports, FaultTarget, NetworkConfig, NetworkSimulation, ReportAction,
@@ -50,9 +50,12 @@ fn detectors_build_a_k_from_network_measurements() {
 
     // And the characterization of the detector-built A_k is massive.
     let table = TrajectoryTable::from_state_pair(&outcome.pair, &flagged);
-    let analyzer = Analyzer::new(&table, params());
+    let analyzer = AnalyzerCore::new(&table, params());
     for &j in table.ids() {
-        assert_eq!(analyzer.characterize_full(j).class(), AnomalyClass::Massive);
+        assert_eq!(
+            analyzer.characterize_full(&table, j).class(),
+            AnomalyClass::Massive
+        );
     }
 }
 

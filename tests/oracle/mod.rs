@@ -5,13 +5,13 @@
 //! and the current sealed snapshot, matches them by key over the
 //! surviving cohort, and recomputes each verdict from scratch: its
 //! characterization and spatial component from a fresh
-//! [`Analyzer`] over the report's abnormal set, its vicinity from a
+//! [`AnalyzerCore`] over the report's abnormal set, its vicinity from a
 //! freshly built [`GridIndex`] over the cohort, its displacement from the
 //! two positions. No cache, no incremental grid, no worker pool — so a
 //! monitor whose reports match the oracle epoch after epoch reuses
 //! nothing it should have recomputed.
 
-use anomaly_characterization::core::{Analyzer, TrajectoryTable};
+use anomaly_characterization::core::{AnalyzerCore, TrajectoryTable};
 use anomaly_characterization::pipeline::{DeviceKey, Monitor, Report};
 use anomaly_characterization::qos::{DeviceId, GridIndex, Norm, Snapshot, StatePair};
 use std::collections::BTreeMap;
@@ -115,14 +115,14 @@ fn verify(
     let params = monitor.params();
     let window = params.window();
     let table = TrajectoryTable::from_state_pair(&pair, &abnormal);
-    let analyzer = Analyzer::new(&table, params);
+    let analyzer = AnalyzerCore::new(&table, params);
     let partition = analyzer.component_partition();
     let grid = GridIndex::build(&pair, window.max(1e-6));
 
     let mut divergent: Vec<String> = Vec::new();
     for (v, &j) in report.verdicts().iter().zip(&abnormal) {
         let expected_id = cohort[j.index()].0;
-        let characterization = analyzer.characterize_full(j);
+        let characterization = analyzer.characterize_full(&table, j);
         let component = partition.component_of(j);
         let vicinity = grid.neighbors_both(&pair, j, window).len();
         let displacement = monitor.norm().distance(

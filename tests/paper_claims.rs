@@ -3,7 +3,7 @@
 use anomaly_characterization::analytic::{bell_number, solve_tau};
 use anomaly_characterization::core::observer::{brute_force_classes, enumerate_anomaly_partitions};
 use anomaly_characterization::core::partition::build_partition_greedy;
-use anomaly_characterization::core::{Analyzer, AnomalyClass, Params, TrajectoryTable};
+use anomaly_characterization::core::{AnalyzerCore, AnomalyClass, Params, TrajectoryTable};
 use anomaly_characterization::qos::DeviceId;
 use anomaly_characterization::simulator::{sweep::sweep_grid, ScenarioConfig};
 
@@ -131,9 +131,9 @@ fn dimensioning_feeds_characterization() {
     assert!(params.tau() >= 1);
     // And it characterizes a trivial configuration sensibly.
     let table = TrajectoryTable::from_pairs_1d(&[(0, 0.2, 0.8)]);
-    let analyzer = Analyzer::new(&table, params);
+    let analyzer = AnalyzerCore::new(&table, params);
     assert_eq!(
-        analyzer.characterize_full(DeviceId(0)).class(),
+        analyzer.characterize_full(&table, DeviceId(0)).class(),
         AnomalyClass::Isolated
     );
 }
