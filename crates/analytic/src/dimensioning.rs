@@ -132,7 +132,8 @@ pub fn prob_false_dense_exceeds(
 /// The paper's Figure 6(b) y-range (all curves above 0.997 up to
 /// `n = 15 000`) is matched by a vicinity of radius `r` (`q = (2r)^d`)
 /// rather than the `2r` used in the text (`q = (4r)^d`); exposing `q`
-/// lets the reproduction harness print both variants. See EXPERIMENTS.md.
+/// lets the reproduction harness print both variants. See the README's
+/// "Reproduction gaps" section.
 ///
 /// # Errors
 ///

@@ -80,7 +80,8 @@ fn main() {
     print_rows("Ablation: density threshold tau (r = 0.03, A = 20)", &rows);
 
     // Destination model: the uniform model of the paper's text vs the
-    // degradation-biased model used for calibration (see EXPERIMENTS.md).
+    // degradation-biased model used for calibration (see the README's
+    // "Reproduction gaps" section).
     let mut rows = Vec::new();
     for (label, model) in [
         ("uniform destinations", DestinationModel::Uniform),

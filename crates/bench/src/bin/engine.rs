@@ -2,10 +2,10 @@
 //! generated fleet.
 //!
 //! Feeds the same deterministic [`FleetSpec`] trace to both engines and
-//! reports wall-clock per engine, writing the result to
-//! `BENCH_engine.json` (override with `ENGINE_BENCH_OUT`). Both engines
-//! must produce identical verdicts — the run aborts otherwise — so the
-//! timings compare equal work.
+//! reports wall-clock per engine, writing the result with its provenance
+//! (commit, CPU count, repetitions) to `BENCH_engine.json` (override with
+//! `ENGINE_BENCH_OUT`). Both engines must produce identical verdicts —
+//! the run aborts otherwise — so the timings compare equal work.
 //!
 //! Knobs (environment variables):
 //!
@@ -126,6 +126,7 @@ fn main() {
     ];
 
     let reps = env_usize("ENGINE_BENCH_REPS", 3).max(1);
+    let (commit, parallelism) = anomaly_bench::provenance();
     let outcomes: Vec<Outcome> = configs
         .iter()
         .map(|c| {
@@ -189,11 +190,15 @@ fn main() {
         .collect();
     let json = format!(
         concat!(
-            "{{\"bench\":\"engine\",\"devices\":{},\"services\":{},",
+            "{{\"bench\":\"engine\",\"commit\":\"{}\",\"available_parallelism\":{},",
+            "\"reps\":{},\"devices\":{},\"services\":{},",
             "\"flagged_per_instant\":{},\"steps\":{},\"workers\":{},",
             "\"seed\":{},\"configs\":[{}],",
             "\"speedup_threaded_vs_sequential\":{:.3}}}"
         ),
+        commit,
+        parallelism,
+        reps,
         spec.devices,
         spec.services,
         spec.flagged_per_instant(),

@@ -351,14 +351,7 @@ fn main() {
     let permille = env_usize("INGEST_BENCH_CHANGED_PERMILLE", 10);
     let changed = ((devices * permille) / 1000).max(1);
     let reps = env_usize("INGEST_BENCH_REPS", 3).max(1);
-    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let commit = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--abbrev=7"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string());
+    let (commit, parallelism) = anomaly_bench::provenance();
     let sweep_sizes: Vec<usize> = std::env::var("INGEST_BENCH_SWEEP")
         .unwrap_or_else(|_| "10000,50000,100000".to_string())
         .split(',')

@@ -36,7 +36,7 @@ pub fn fig6a() {
 /// Figure 6(b): `P{F_r(j) ≤ τ}` as a function of `n` for `τ ∈ {2,…,5}`,
 /// `r = 0.03`, `b = 0.005`. Prints both the text model (vicinity radius
 /// `2r`, `q = (4r)^d`) and the figure-matching model (radius `r`,
-/// `q = (2r)^d`) — see EXPERIMENTS.md for the discrepancy note.
+/// `q = (2r)^d`) — see the README's "Reproduction gaps" section.
 pub fn fig6b() {
     println!("# Figure 6(b) — P{{F_r(j) <= tau}} vs n (r = 0.03, b = 0.005, d = 2)");
     let taus = [2u64, 3, 4, 5];

@@ -29,6 +29,21 @@ pub fn repro_steps() -> u64 {
         .unwrap_or(20)
 }
 
+/// Where a committed bench result came from: the commit the binary ran in
+/// (`git describe --always --dirty`, or `unknown` outside a checkout) and
+/// the CPU count the OS reports.
+pub fn provenance() -> (String, usize) {
+    let describe = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=7"])
+        .output();
+    let commit = match describe {
+        Ok(out) if out.status.success() => String::from_utf8_lossy(&out.stdout).trim().to_string(),
+        _ => "unknown".to_string(),
+    };
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    (commit, parallelism)
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -485,14 +485,6 @@ impl AnalyzerCore {
         &self.wbar[&j]
     }
 
-    /// The epoch's [`ComponentPartition`]: connected components of the
-    /// merged `W̄_k` dense motions, numbered by smallest member id. The
-    /// result is a pure function of the merged parts, so Sequential and
-    /// any Threaded merge agree byte-for-byte.
-    pub fn component_partition(&self) -> ComponentPartition {
-        ComponentPartition::from_dense_sets(self.wbar.iter().map(|(&j, v)| (j, v.as_slice())))
-    }
-
     /// The Section V families of `j`.
     ///
     /// # Panics
@@ -979,11 +971,15 @@ mod tests {
         ])
     }
 
+    /// The partition of every device's merged `W̄_k(j)`.
+    fn partition(a: &AnalyzerCore, t: &TrajectoryTable) -> ComponentPartition {
+        ComponentPartition::from_dense_sets(t.ids().iter().map(|&j| (j, a.wbar_of(j))))
+    }
+
     #[test]
     fn disjoint_groups_get_distinct_components_numbered_by_smallest_id() {
         let t = two_group_table();
-        let a = AnalyzerCore::new(&t, params(3));
-        let p = a.component_partition();
+        let p = partition(&AnalyzerCore::new(&t, params(3)), &t);
         assert_eq!(p.count(), 2);
         for id in [0, 1, 2, 3] {
             assert_eq!(p.component_of(DeviceId(id)), Some(0), "device {id}");
@@ -1007,8 +1003,7 @@ mod tests {
             (4, 0.18, 0.18),
             (5, 0.22, 0.22),
         ]);
-        let a = AnalyzerCore::new(&t, params(3));
-        let p = a.component_partition();
+        let p = partition(&AnalyzerCore::new(&t, params(3)), &t);
         assert_eq!(p.count(), 1);
         for id in 1..=5 {
             assert_eq!(p.component_of(DeviceId(id)), Some(0), "device {id}");
@@ -1018,7 +1013,7 @@ mod tests {
     #[test]
     fn component_partition_is_independent_of_part_order() {
         let t = two_group_table();
-        let sequential = AnalyzerCore::new(&t, params(3)).component_partition();
+        let sequential = partition(&AnalyzerCore::new(&t, params(3)), &t);
         let mut parts: Vec<(DeviceId, DevicePrecompute)> = t
             .ids()
             .iter()
@@ -1034,7 +1029,7 @@ mod tests {
             parts.iter().map(|(j, part)| (*j, part.dense())).collect();
         let from_slices = ComponentPartition::from_dense_sets(dense_slices);
         assert_eq!(sequential, from_slices);
-        let merged = AnalyzerCore::from_parts(&t, params(3), parts).component_partition();
+        let merged = partition(&AnalyzerCore::from_parts(&t, params(3), parts), &t);
         assert_eq!(sequential, merged);
     }
 

@@ -23,7 +23,7 @@
 //! | Theorem 6 (sufficient for `M_k`), Algorithm 3 | [`AnalyzerCore::characterize`] |
 //! | Theorem 7 (NSC for `M_k`), Algorithms 4–5 | [`AnalyzerCore::characterize_full`] |
 //! | Corollary 8 (NSC for `U_k`) | [`AnalyzerCore::characterize_full`] |
-//! | Connected components of dense motions (spatial identity) | [`ComponentPartition`], [`AnalyzerCore::component_partition`] |
+//! | Connected components of dense motions (spatial identity) | [`ComponentPartition::from_dense_sets`] over the `W̄_k(j)` |
 //! | Omniscient observer, Relations (2)–(3) | [`observer::brute_force_classes`] |
 //!
 //! # Example

@@ -61,8 +61,8 @@ impl Params {
     ///
     /// * [`ParamsError::InvalidRadius`] if `r ∉ [0, 1/4)`;
     /// * [`ParamsError::ZeroTau`] if `tau == 0`.
-    pub fn new(r: f64, tau: usize) -> Result<Self, ParamsError> {
-        if !r.is_finite() || !(0.0..0.25).contains(&r) {
+    pub const fn new(r: f64, tau: usize) -> Result<Self, ParamsError> {
+        if !r.is_finite() || r < 0.0 || r >= 0.25 {
             return Err(ParamsError::InvalidRadius { radius: r });
         }
         if tau == 0 {
@@ -70,6 +70,9 @@ impl Params {
         }
         Ok(Params { r, tau })
     }
+
+    /// The paper's operating point (Section VII-A): `r = 0.03`, `τ = 3`.
+    pub const PAPER: Params = Params { r: 0.03, tau: 3 };
 
     /// The consistency-impact radius `r`.
     pub fn radius(&self) -> f64 {
@@ -102,6 +105,7 @@ mod tests {
         assert_eq!(p.radius(), 0.03);
         assert_eq!(p.tau(), 3);
         assert!((p.window() - 0.06).abs() < 1e-15);
+        assert_eq!(p, Params::PAPER);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use crate::error::EvalError;
 use crate::scenario::{ChurnEvent, Scenario, ScenarioRun, ScenarioSpec};
+use anomaly_characterization::pipeline::MonitorError;
 use anomaly_core::Params;
 use anomaly_network::{FaultTarget, NetworkConfig, NetworkSimulation, NodeId};
 use anomaly_qos::{DeviceId, QosSpace, Snapshot, StatePair};
@@ -28,6 +29,12 @@ use anomaly_simulator::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The ISP tree workloads' operating point, checked at compile time.
+const NETWORK_POINT: Params = match Params::new(0.02, 3) {
+    Ok(params) => params,
+    Err(_) => panic!("invalid operating point"),
+};
 
 /// The Section VII-A Monte-Carlo generator as a scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,7 +131,7 @@ impl NetworkFaultScenario {
         NetworkFaultScenario {
             name: name.into(),
             config: NetworkConfig::small(seed),
-            params: Params::new(0.02, 3).expect("the network operating point is valid"),
+            params: NETWORK_POINT,
             steps,
             dslam_faults_per_step: 1,
             cpe_faults_per_step: 1,
@@ -250,7 +257,7 @@ impl Scenario for AdversaryScenario {
         let mut rng = StdRng::seed_from_u64(self.shadow_seed);
         let n = self.config.n;
         let dim = self.config.dim;
-        let space = QosSpace::new(dim).expect("the simulator validated dim >= 1");
+        let space = QosSpace::new(dim).map_err(MonitorError::Qos)?;
         let park = vec![0.95; dim];
         let jitter = self.config.params.radius() / 2.0;
         let mut steps = Vec::with_capacity(self.steps);
@@ -303,10 +310,10 @@ impl Scenario for AdversaryScenario {
                 }
             }
             let pair = StatePair::new(
-                Snapshot::from_rows(&space, before_rows).expect("rows are clamped to the cube"),
-                Snapshot::from_rows(&space, after_rows).expect("rows are clamped to the cube"),
+                Snapshot::from_rows(&space, before_rows).map_err(MonitorError::Qos)?,
+                Snapshot::from_rows(&space, after_rows).map_err(MonitorError::Qos)?,
             )
-            .expect("both snapshots cover n + coalition devices");
+            .map_err(MonitorError::Qos)?;
             steps.push(TraceStep {
                 pair,
                 truth: GroundTruth::new(events),
@@ -342,14 +349,15 @@ impl FleetScenario {
 
     fn trace_steps(&self) -> Result<Vec<TraceStep>, EvalError> {
         let instants = generate_fleet(&self.fleet, self.steps)?;
-        Ok(instants
-            .windows(2)
-            .map(|w| TraceStep {
+        let mut steps = Vec::with_capacity(instants.len().saturating_sub(1));
+        for w in instants.windows(2) {
+            steps.push(TraceStep {
                 pair: StatePair::new(w[0].snapshot.clone(), w[1].snapshot.clone())
-                    .expect("chained instants share the fleet shape"),
+                    .map_err(MonitorError::Qos)?,
                 truth: w[1].truth.clone(),
-            })
-            .collect())
+            });
+        }
+        Ok(steps)
     }
 }
 
@@ -492,7 +500,7 @@ impl PersistentAnomalyScenario {
             flappers: 4,
             flap_period: 3,
             steps: 10,
-            params: Params::new(0.03, 3).expect("the standard operating point is valid"),
+            params: Params::PAPER,
             jitter: 0.01,
             shift: 0.15,
             seed,
@@ -554,7 +562,7 @@ impl Scenario for PersistentAnomalyScenario {
             )));
         }
 
-        let space = QosSpace::new(2).expect("two services is a valid space");
+        let space = QosSpace::new(2).map_err(MonitorError::Qos)?;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let spread = window.min(0.08) / 2.0;
         let mut pos: Vec<[f64; 2]> = (0..self.devices)
@@ -573,11 +581,11 @@ impl Scenario for PersistentAnomalyScenario {
             })
             .collect();
 
-        let snapshot = |pos: &[[f64; 2]]| -> Snapshot {
+        let snapshot = |pos: &[[f64; 2]]| {
             Snapshot::from_rows(&space, pos.iter().map(|p| p.to_vec()).collect())
-                .expect("generated rows stay in the unit cube")
+                .map_err(MonitorError::Qos)
         };
-        let mut previous = snapshot(&pos);
+        let mut previous = snapshot(&pos)?;
         let mut steps = Vec::with_capacity(self.steps);
         for step in 0..self.steps {
             let mut events: Vec<ErrorEvent> = Vec::new();
@@ -619,10 +627,9 @@ impl Scenario for PersistentAnomalyScenario {
                     *c = (*c + rng.gen_range(-self.jitter..=self.jitter)).clamp(0.01, 0.99);
                 }
             }
-            let current = snapshot(&pos);
+            let current = snapshot(&pos)?;
             steps.push(TraceStep {
-                pair: StatePair::new(previous, current.clone())
-                    .expect("chained snapshots share the fleet shape"),
+                pair: StatePair::new(previous, current.clone()).map_err(MonitorError::Qos)?,
                 truth: GroundTruth::new(events),
             });
             previous = current;

@@ -5,16 +5,16 @@ use crate::snapshot::StatePair;
 /// The cell of a device slot that is not indexed.
 const VACANT: usize = usize::MAX;
 
-/// How [`GridIndex::apply_moves`] brought the index up to date.
+/// How an index was brought up to date across an instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridUpdate {
-    /// Only the devices whose cell changed were re-bucketed.
+    /// [`GridIndex::apply_moves`] re-bucketed only the devices whose cell
+    /// changed.
     Incremental {
         /// Number of devices moved between buckets.
         rebucketed: usize,
     },
-    /// The index was rebuilt from scratch: its dimension, resolution or
-    /// slot count did not match the state pair (an empty index, say).
+    /// [`GridIndex::rebuild`] indexed the state pair from scratch.
     /// Membership changes need not force it: see [`GridIndex::insert`].
     Rebuilt,
 }
@@ -126,46 +126,23 @@ impl GridIndex {
     ///
     /// `moves` lists every device whose **before**-position changed since
     /// the index last described a state pair, as `(device, old position,
-    /// new position)`; `pair` is the state pair the index must describe
-    /// after the call. Only devices whose grid cell actually changed are
+    /// new position)`. Only devices whose grid cell actually changed are
     /// re-bucketed, so a mostly-calm fleet updates in time proportional to
-    /// the churn, not the population.
-    ///
-    /// Falls back to a full [`GridIndex::rebuild`] — returning
-    /// [`GridUpdate::Rebuilt`] — whenever the incremental path cannot apply:
-    /// the dimension changed, `min_cell_side` implies a different cell
-    /// resolution, or `pair` has a different number of devices than the
-    /// index has slots.
-    ///
-    /// The resulting index is identical to a fresh
-    /// [`GridIndex::build`]`(pair, min_cell_side)`, minus the vacant
-    /// slots, as long as `moves` is complete and accurate; queries remain
-    /// exact either way because candidates are always filtered on the
-    /// true motion distance.
+    /// the churn, not the population. The resulting index is identical to
+    /// a fresh [`GridIndex::build`] of the moved-to pair, minus the vacant
+    /// slots, as long as `moves` is complete and accurate.
     ///
     /// # Errors
     ///
-    /// [`QosError::UnknownDevice`] or [`QosError::GridSlot`] for a move of
-    /// a missing or vacant slot, or from outside the device's cell (an
-    /// inconsistent move list); earlier moves stay applied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_cell_side` is not a positive finite number.
+    /// [`QosError::UnknownDevice`] for a move of a slot the index does not
+    /// have (its slot count disagrees with the moved pair), and
+    /// [`QosError::GridSlot`] for a move of a vacant slot, or from outside
+    /// the device's cell (an inconsistent move list); earlier moves stay
+    /// applied.
     pub fn apply_moves(
         &mut self,
-        pair: &StatePair,
-        min_cell_side: f64,
         moves: &[(DeviceId, Point, Point)],
     ) -> Result<GridUpdate, QosError> {
-        let cells_per_axis = Self::resolution(pair.dim(), min_cell_side);
-        if pair.dim() != self.dim
-            || cells_per_axis != self.cells_per_axis
-            || pair.len() != self.slots.len()
-        {
-            self.rebuild(pair, min_cell_side);
-            return Ok(GridUpdate::Rebuilt);
-        }
         let mut rebucketed = 0usize;
         for (id, old, new) in moves {
             let (from, _) = self.slot(*id)?;
@@ -225,6 +202,11 @@ impl GridIndex {
             self.bucket(to, cell)?;
         }
         Ok(())
+    }
+
+    /// Number of device slots, vacant ones included.
+    pub fn slots(&self) -> usize {
+        self.slots.len()
     }
 
     /// Sets the number of slots: new slots are vacant, and slots cut off
@@ -298,10 +280,9 @@ impl GridIndex {
         }
     }
 
-    /// Flattened index of the cell `coords` falls in, under the current
-    /// resolution — lets callers detect cell crossings (and thus build
-    /// minimal [`GridIndex::apply_moves`] batches) without re-deriving the
-    /// grid geometry.
+    /// Flattened index of the cell `coords` falls in — lets callers detect
+    /// cell crossings (and thus build minimal [`GridIndex::apply_moves`]
+    /// batches) without re-deriving the grid geometry.
     ///
     /// # Panics
     ///
@@ -645,11 +626,7 @@ mod tests {
         }
         let dirty = [built.cell_index(&[0.5, 0.52])].into_iter().collect();
         assert_eq!(empty.expand_cells(&dirty, 1), built.expand_cells(&dirty, 1));
-        // The first update cannot be incremental: nothing is indexed yet.
-        assert_eq!(
-            empty.apply_moves(&pair, 0.06, &[]).unwrap(),
-            GridUpdate::Rebuilt
-        );
+        empty.rebuild(&pair, 0.06);
         assert_eq!(
             empty.neighbors_both(&pair, DeviceId(1), 0.5),
             built.neighbors_both(&pair, DeviceId(1), 0.5)
@@ -735,7 +712,7 @@ mod tests {
             .filter(|((_, a), (_, b))| a != b)
             .map(|((id, a), (_, b))| (id, a.clone(), b.clone()))
             .collect();
-        index.apply_moves(new, side, &moves).unwrap();
+        index.apply_moves(&moves).unwrap();
         let fresh = GridIndex::build(new, side);
         for j in new.device_ids() {
             assert_eq!(
@@ -772,53 +749,42 @@ mod tests {
             new.before().position(DeviceId(0)).clone(),
         )];
         assert_eq!(
-            index.apply_moves(&new, 0.1, &moves).unwrap(),
+            index.apply_moves(&moves).unwrap(),
             GridUpdate::Incremental { rebucketed: 1 }
         );
         // A no-op move (same cell) is not counted.
         assert_eq!(
-            index.apply_moves(&new, 0.1, &[]).unwrap(),
+            index.apply_moves(&[]).unwrap(),
             GridUpdate::Incremental { rebucketed: 0 }
         );
     }
 
+    /// A move list whose pair has more devices than the index has slots
+    /// fails typed; nothing rebuilds behind the caller's back.
     #[test]
-    fn apply_moves_falls_back_to_rebuild_on_cell_side_change() {
-        let pair = pair_from(
-            vec![vec![0.1], vec![0.5], vec![0.9]],
-            vec![vec![0.1], vec![0.5], vec![0.9]],
-        );
+    fn apply_moves_rejects_a_slot_count_mismatch() {
+        let at = |x: f64| Point::new_unchecked(vec![x]);
+        let pair = pair_from(vec![vec![0.1], vec![0.9]], vec![vec![0.1], vec![0.9]]);
         let mut index = GridIndex::build(&pair, 0.1);
-        // A different resolution cannot be patched in place.
+        assert_eq!(index.slots(), 2);
+        // The pair grew a third device the index never got a slot for.
+        let grown = [(DeviceId(2), at(0.5), at(0.6))];
         assert_eq!(
-            index.apply_moves(&pair, 0.3, &[]).unwrap(),
-            GridUpdate::Rebuilt
+            index.apply_moves(&grown),
+            Err(QosError::UnknownDevice {
+                id: 2,
+                population: 2
+            })
         );
+        // An index that was never built has no slots at all.
+        let mut empty = GridIndex::new(1, 0.1);
         assert_eq!(
-            index.cells_per_axis(),
-            GridIndex::build(&pair, 0.3).cells_per_axis()
+            empty.apply_moves(&[(DeviceId(0), at(0.1), at(0.5))]),
+            Err(QosError::UnknownDevice {
+                id: 0,
+                population: 0
+            })
         );
-    }
-
-    #[test]
-    fn apply_moves_falls_back_to_rebuild_on_population_change() {
-        let old = pair_from(vec![vec![0.1], vec![0.9]], vec![vec![0.1], vec![0.9]]);
-        let new = pair_from(
-            vec![vec![0.1], vec![0.5], vec![0.9]],
-            vec![vec![0.1], vec![0.5], vec![0.9]],
-        );
-        let mut index = GridIndex::build(&old, 0.1);
-        assert_eq!(
-            index.apply_moves(&new, 0.1, &[]).unwrap(),
-            GridUpdate::Rebuilt
-        );
-        let fresh = GridIndex::build(&new, 0.1);
-        for j in new.device_ids() {
-            assert_eq!(
-                index.neighbors_both(&new, j, 0.1),
-                fresh.neighbors_both(&new, j, 0.1),
-            );
-        }
     }
 
     #[test]
@@ -829,13 +795,13 @@ mod tests {
         // Claims device 0 was at 0.9 (wrong cell).
         let lie = [(DeviceId(0), at(0.9), at(0.1))];
         assert!(matches!(
-            index.apply_moves(&pair, 0.1, &lie),
+            index.apply_moves(&lie),
             Err(QosError::GridSlot { id: 0, .. })
         ));
         // A device id past the indexed slots.
         let stranger = [(DeviceId(7), at(0.1), at(0.2))];
         assert_eq!(
-            index.apply_moves(&pair, 0.1, &stranger),
+            index.apply_moves(&stranger),
             Err(QosError::UnknownDevice {
                 id: 7,
                 population: 2
@@ -845,7 +811,7 @@ mod tests {
         index.remove(DeviceId(1)).unwrap();
         let ghost = [(DeviceId(1), at(0.5), at(0.9))];
         assert!(matches!(
-            index.apply_moves(&pair, 0.1, &ghost),
+            index.apply_moves(&ghost),
             Err(QosError::GridSlot { id: 1, .. })
         ));
     }
@@ -889,7 +855,7 @@ mod tests {
             "some nudges must stay within their capped cell"
         );
         assert_eq!(
-            index.apply_moves(&new, side, &moves).unwrap(),
+            index.apply_moves(&moves).unwrap(),
             GridUpdate::Incremental {
                 rebucketed: moves.len()
             }
@@ -976,9 +942,9 @@ mod tests {
         }
         // With nothing moved the slots still line up: the next update stays
         // incremental.
-        let pair = StatePair::new(before, after).unwrap();
+        assert_eq!(index.slots(), before.len());
         assert_eq!(
-            index.apply_moves(&pair, side, &[]).unwrap(),
+            index.apply_moves(&[]).unwrap(),
             GridUpdate::Incremental { rebucketed: 0 }
         );
     }
@@ -1093,7 +1059,7 @@ mod tests {
                 })
                 .map(|((id, a), (_, b))| (id, a.clone(), b.clone()))
                 .collect();
-            index.apply_moves(&new, radius, &moves).unwrap();
+            index.apply_moves(&moves).unwrap();
             let fresh = GridIndex::build(&new, radius);
             for j in new.device_ids() {
                 prop_assert_eq!(

@@ -11,7 +11,7 @@ use std::fmt;
 /// reported rate. [`DestinationModel::Degradation`] biases destinations
 /// toward the low-QoS corner — faults degrade service, they do not teleport
 /// it to random quality levels — which recreates the superposition regime;
-/// see EXPERIMENTS.md for the calibration discussion.
+/// see the README's "Reproduction gaps" section for the calibration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DestinationModel {
     /// Destinations uniform over the whole space (the paper's literal text).
@@ -107,8 +107,7 @@ impl ScenarioConfig {
             dim: 2,
             errors_per_step: 20,
             isolated_prob: 0.08,
-            params: Params::new(0.03, 3)
-                .unwrap_or_else(|_| unreachable!("paper parameters are valid")),
+            params: Params::PAPER,
             destination: DestinationModel::Degradation { scale: 0.20 },
             enforce_r3: true,
             seed,

@@ -16,7 +16,7 @@
 //!   O(changed devices) — and the existing detection + characterization
 //!   engine runs, returning the same [`Report`] the batch path produces.
 //!
-//! [`Monitor::observe`] is now a one-shot convenience implemented as
+//! [`Monitor::observe`] is a one-shot convenience implemented as
 //! `ingest_many` over every dense row followed by `seal`, so the two paths
 //! are equivalent by construction (and verified byte-for-byte by
 //! `tests/ingest_equivalence.rs`).
@@ -505,15 +505,11 @@ impl Monitor {
 
         // Phase 3 — settle ages and run the shared pipeline. Only slots
         // with a real update feed their detector (frozen semantics for
-        // bridged rows — see `StalenessPolicy`); the changed-row cells let
+        // bridged rows — see `StalenessPolicy`); the changed rows let
         // characterization invalidate exactly the neighbourhoods they
         // touch.
         delta.newcomers = self.epoch.settle_epoch(&delta.fed, n);
-        let report = self.advance(current, stragglers, &delta)?;
-
-        // Phase 4 — record the delta for the next epoch.
-        self.record_epoch_delta(delta)?;
-        Ok(report)
+        self.advance(current, stragglers, delta)
     }
 
     /// Phase 1: resolves the silent devices through the policy over the
@@ -599,7 +595,7 @@ impl Monitor {
 
     /// Phase 2: recycles the spare buffer (or clones the previous snapshot
     /// once when no spare exists yet), patches only the rows that actually
-    /// changed, and reports the change set plus the grid move candidates.
+    /// changed, and reports the change set.
     ///
     /// Walks the `fed` slots only — silent rows keep their previous value
     /// (carry-forward) and cost nothing — except under the `Default`
@@ -619,8 +615,6 @@ impl Monitor {
         let mut rows: Vec<Point> = Vec::with_capacity(if first { n } else { 0 });
         let mut patches: Vec<(DeviceId, Point)> = Vec::new();
         let mut changed: Vec<DeviceId> = Vec::new();
-        let mut moves: Vec<(DeviceId, Point, Point)> = Vec::new();
-        let mut changed_cells: Vec<usize> = Vec::new();
         let mut stage_row = |this: &Self, slot: usize, p: Point| -> Result<(), MonitorError> {
             let id = DeviceId(slot as u32);
             let Some(prev) = this.last_snapshot() else {
@@ -630,20 +624,8 @@ impl Monitor {
                 rows.push(p);
                 return Ok(());
             };
-            if this.epoch.is_newcomer(slot) {
-                changed_cells.push(this.cell_of(&p));
-            } else {
-                let old = prev.try_position(id)?;
-                if p == *old {
-                    return Ok(());
-                }
-                // Move candidates are only worth cloning when they cross a
-                // cell: only those ever need re-bucketing (the cell geometry
-                // is fixed for the monitor's lifetime).
-                if this.cell_of(old) != this.cell_of(&p) {
-                    moves.push((id, old.clone(), p.clone()));
-                }
-                changed_cells.extend([this.cell_of(old), this.cell_of(&p)]);
+            if !this.epoch.is_newcomer(slot) && p == *prev.try_position(id)? {
+                return Ok(());
             }
             changed.push(id);
             patches.push((id, p));
@@ -699,13 +681,10 @@ impl Monitor {
         current
             .patch_rows(patches)
             .map_err(|_| MonitorError::internal("patched rows were validated at ingest time"))?;
-        let newcomers = BTreeSet::new();
         let delta = SealDelta {
             fed,
             changed,
-            moves,
-            changed_cells,
-            newcomers,
+            newcomers: BTreeSet::new(),
         };
         Ok((current, delta))
     }

@@ -35,8 +35,10 @@
 //! * [`MonitorError`] — every misuse path, typed (ingestion failures under
 //!   [`MonitorError::Ingest`]).
 //!
-//! The v1 `FleetMonitor` shim was removed after its deprecation cycle; see
-//! the README's migration notes.
+//! The seal's characterize step and its derived state (vicinity grid,
+//! verdict cache, worker pool) have one owner, `characterize::Characterizer`;
+//! `Monitor` keeps ingest, detection, churn bookkeeping, events and
+//! persistence.
 //!
 //! # Example
 //!
@@ -68,6 +70,7 @@
 //! ```
 
 mod builder;
+mod characterize;
 mod engine;
 mod error;
 mod events;

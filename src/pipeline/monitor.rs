@@ -1,35 +1,22 @@
+use super::characterize::Characterizer;
 use super::engine::Engine;
 use super::error::MonitorError;
 use super::events::{AnomalyEvent, EventDelta, EventTracker};
 use super::ingest::{EpochState, StalenessPolicy};
 use super::key::DeviceKey;
 use super::persist;
-use super::pool::{run_phase, Job, WorkerPool};
 use super::report::{DeviceVerdict, Report, ReportSummary, Stragglers};
 use super::timings::Stopwatch;
-use anomaly_core::{
-    AnalyzerCore, Characterization, ComponentPartition, DevicePrecompute, Params, ShardPlan,
-    TrajectoryTable,
-};
+use anomaly_core::Params;
 use anomaly_detectors::{DeviceDetector, StateReader, StateWriter};
 use anomaly_qos::{
-    DeviceId, GridIndex, GridUpdate, Norm, NormKind, Point, QosError, QosSpace, Snapshot, StatePair,
+    DeviceId, GridUpdate, Norm, NormKind, Point, QosError, QosSpace, Snapshot, StatePair,
 };
 use anomaly_store::{Dec, Enc};
 // conformance: allow(C2, reason = "HashMap backs only the lookup-only key index; it is never iterated, so hash order cannot reach a report")
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Chebyshev cell rings the dirty-cell set is expanded by before cache
-/// invalidation. A device's verdict is a function of trajectories and
-/// flagged-set membership within `4r` of it (its own motions involve
-/// devices within the `2r` window, and the Theorem 7 search inspects
-/// those neighbours' motions, reaching a further `2r` out). Cells are
-/// `2r` wide, so two positions at most `4r` apart differ by at most two
-/// cell indices per axis — expanding every dirty cell by two rings
-/// therefore covers every device whose verdict the change could touch.
-const INVALIDATION_RINGS: usize = 2;
 
 /// Produces the error-detection function of a joining device from its
 /// stable key.
@@ -72,8 +59,10 @@ pub type DetectorFactory = Box<dyn Fn(DeviceKey) -> Box<dyn DeviceDetector>>;
 /// * accepts any [`DeviceDetector`] implementation per device — the plug
 ///   point for the error-detection function `a_k(j)`, which the paper
 ///   leaves abstract — so fleets mix detector families freely;
-/// * reuses its vicinity grid and snapshot buffers across instants and
-///   reports per-instant wall-clock timings.
+/// * reuses its snapshot buffers across instants, keeps its vicinity grid,
+///   verdict cache and worker pool in one characterize-step owner
+///   (`src/pipeline/characterize.rs`), and reports per-instant wall-clock
+///   timings.
 ///
 /// Construct one with [`MonitorBuilder`](super::MonitorBuilder).
 ///
@@ -121,19 +110,9 @@ pub struct Monitor {
     /// Snapshot of the previous instant, if any, slot-aligned with `keys`
     /// (a newcomer holds a placeholder row until its first seal).
     previous: Option<Snapshot>,
-    /// Vicinity index, reused (allocations and all) across instants. Its
-    /// geometry (dimension and `2r` cells) is fixed at construction, so
-    /// cell indices are meaningful before the first characterized instant
-    /// fills it. Arc'd so the characterization jobs can share it; between
-    /// epochs the monitor holds the only reference and mutates in place
-    /// through [`Arc::make_mut`].
-    grid: Arc<GridIndex>,
-    /// Execution strategy for the characterization phase.
-    engine: Engine,
-    /// Persistent characterization workers, spawned lazily at the first
-    /// epoch whose flagged set warrants more than one shard and parked on
-    /// channel receives between epochs.
-    pool: Option<WorkerPool>,
+    /// The characterize step and its derived state: vicinity grid, verdict
+    /// cache and worker pool.
+    characterizer: Characterizer,
     /// Last detector verdict per dense slot: `(is_anomalous, score)`.
     /// Slot-aligned with `keys`; slots whose detector is not fed this
     /// epoch (carried or defaulted rows) keep — "freeze" — their last
@@ -144,19 +123,6 @@ pub struct Monitor {
     /// O(|A_k|), not an O(population) scan. Kept aligned with `flag_state`
     /// through the same swap-remove discipline on churn.
     flagged_slots: BTreeSet<u32>,
-    /// Per-device characterization cache, keyed by dense id; entries are
-    /// invalidated when their cell falls inside the
-    /// [`INVALIDATION_RINGS`]-expanded dirty-cell neighbourhood.
-    char_cache: BTreeMap<u32, CacheEntry>,
-    /// Grid cells touched since the last characterized instant: cells of
-    /// rows whose value changed (a newcomer's first row included), cells
-    /// of devices whose detector flag flipped, and the cells of a leaver
-    /// and of the device relocated into its slot. Consumed (and re-seeded
-    /// with the sealing epoch's own changed cells) at every characterized
-    /// instant.
-    dirty_pending: BTreeSet<usize>,
-    /// Reusable vicinity-query buffer for jobs run inline.
-    neighbor_buf: Vec<DeviceId>,
     instant: u64,
     /// The open streaming epoch: pending per-device updates and
     /// staleness ages (slot-aligned with `keys`).
@@ -170,58 +136,22 @@ pub struct Monitor {
     pub(super) spare: Option<Snapshot>,
     /// Rows of `spare` that are stale with respect to `previous`.
     pub(super) spare_lag: Vec<DeviceId>,
-    /// Cell-crossing before-position moves accumulated since the vicinity
-    /// grid last updated — the exact batch `GridIndex::apply_moves`
-    /// replays at the next characterized instant.
-    grid_staged: Vec<(DeviceId, Point, Point)>,
-    /// Outcome of the most recent vicinity-grid update, if any. Once set,
-    /// `grid` holds one slot per device (vacant for newcomers) and
-    /// `grid_staged` tracks every before-position change since — the
-    /// precondition for replaying staged moves instead of rebuilding.
-    last_grid_update: Option<GridUpdate>,
     /// Correlates per-epoch verdicts into anomaly events and keeps the
     /// bounded report history.
     tracker: EventTracker,
 }
 
-/// Cached characterization state of one flagged device.
-///
-/// An entry is valid as long as nothing inside the device's
-/// `4r`-neighbourhood changed since it was computed: neither a trajectory
-/// (a row value change — including the computing epoch's own movers, whose
-/// trajectories turn stationary one epoch later, hence the dirty-set echo)
-/// nor the flagged set (a detector flag flip). Both are tracked as grid
-/// cells in `dirty_pending` and tested against `cell` after ring
-/// expansion.
-struct CacheEntry {
-    /// Grid cell of the device's `after` position when the entry was
-    /// computed — the anchor the dirty-neighbourhood invalidation tests.
-    cell: usize,
-    /// The device's precompute slice, re-merged into the interval's
-    /// analyzer whenever other devices need fresh computation.
-    precompute: DevicePrecompute,
-    /// The cached verdict.
-    characterization: Characterization,
-    /// The cached vicinity count.
-    vicinity: usize,
-}
-
 /// The per-epoch change summary [`Monitor::seal`] hands to
 /// [`Monitor::advance`]: which detectors receive a fresh observation,
-/// which vicinity-grid cells were touched by rows whose value actually
-/// changed, and which slots are newcomers. This is what makes the back
-/// half of `seal` scale with the churn instead of the population.
+/// which rows changed, and which slots are newcomers. This is what makes
+/// the back half of `seal` scale with the churn instead of the population.
 pub(super) struct SealDelta {
     /// Dense slots with a fresh update this epoch; the detectors of every
     /// other slot stay frozen.
     pub(super) fed: Vec<u32>,
-    /// Rows that differ from the previous snapshot (the spare's next lag).
+    /// Rows that differ from the previous snapshot (the spare's next lag),
+    /// and every newcomer's first row (none at a first seal).
     pub(super) changed: Vec<DeviceId>,
-    /// Cell-crossing moves among `changed`, for the vicinity grid.
-    pub(super) moves: Vec<(DeviceId, Point, Point)>,
-    /// Old and new grid cell of every row whose value changed this epoch,
-    /// and the cell of every newcomer's first row (none at a first seal).
-    pub(super) changed_cells: Vec<usize>,
     /// Slots that joined since the previous seal: no position at `k−1`, so
     /// flagged ones are warming, and the grid leaves them out.
     pub(super) newcomers: BTreeSet<u32>,
@@ -257,7 +187,6 @@ impl Monitor {
         history: usize,
         debounce: u64,
     ) -> Self {
-        let grid = GridIndex::new(services, params.window().max(1e-6));
         Monitor {
             params,
             services,
@@ -270,28 +199,21 @@ impl Monitor {
             index: HashMap::with_capacity(capacity),
             detectors: Vec::with_capacity(capacity),
             previous: None,
-            grid: Arc::new(grid),
-            engine,
-            pool: None,
+            characterizer: Characterizer::new(params, services, engine),
             flag_state: Vec::with_capacity(capacity),
             flagged_slots: BTreeSet::new(),
-            char_cache: BTreeMap::new(),
-            dirty_pending: BTreeSet::new(),
-            neighbor_buf: Vec::new(),
             instant: epoch_start,
             epoch: EpochState::with_capacity(capacity),
             staleness,
             spare: None,
             spare_lag: Vec::new(),
-            grid_staged: Vec::new(),
-            last_grid_update: None,
             tracker: EventTracker::new(history, debounce),
         }
     }
 
     /// The execution strategy for the characterization phase.
     pub fn engine(&self) -> Engine {
-        self.engine
+        self.characterizer.engine()
     }
 
     /// How the most recent characterized instant brought the vicinity grid
@@ -302,7 +224,7 @@ impl Monitor {
     /// and joins and leaves report `Incremental` —
     /// `tests/ingest_equivalence.rs` pins that down.
     pub fn last_grid_update(&self) -> Option<GridUpdate> {
-        self.last_grid_update
+        self.characterizer.last_grid_update()
     }
 
     /// Number of monitored devices.
@@ -419,68 +341,9 @@ impl Monitor {
         Arc::clone(&self.keys)
     }
 
-    /// The vicinity-grid cell of a position, the unit of the cache's dirty
-    /// set: pure geometry, fixed for the monitor's lifetime.
-    pub(super) fn cell_of(&self, p: &Point) -> usize {
-        self.grid.cell_index(p.coords())
-    }
-
     /// A newcomer's row in `previous` until its first seal; nothing reads it.
     pub(super) fn placeholder(&self) -> Point {
         Point::new_unchecked(vec![0.0; self.services])
-    }
-
-    /// Phase 4 of a seal: the recycled buffer lags the new previous
-    /// snapshot by exactly `delta.changed`, the vicinity grid owes
-    /// `delta.moves` at its next update, and the newcomers that this seal
-    /// gave a first row enter the grid at that row.
-    pub(super) fn record_epoch_delta(&mut self, delta: SealDelta) -> Result<(), MonitorError> {
-        self.spare_lag = delta.changed;
-        if self.last_grid_update.is_none() {
-            // The next characterized instant builds the grid from scratch.
-            return Ok(());
-        }
-        self.grid_staged.extend(delta.moves);
-        let previous = self.previous.as_ref().ok_or(MonitorError::internal(
-            "a sealed epoch leaves a previous snapshot",
-        ))?;
-        let grid = Arc::make_mut(&mut self.grid);
-        for slot in delta.newcomers {
-            let row = previous.try_position(DeviceId(slot)).map_err(out_of_step)?;
-            grid.insert(DeviceId(slot), row).map_err(out_of_step)?;
-        }
-        Ok(())
-    }
-
-    /// Cache triage: consumes the dirty cells accumulated since the last
-    /// characterized instant, expands them to the 4r (= 2 cell rings)
-    /// dependency neighbourhood of Definition 1's locality bound, and drops
-    /// every cached verdict anchored inside it; what remains is provably
-    /// unaffected and served without recomputation.
-    fn drop_dirty_entries(&mut self) {
-        let dirty = std::mem::take(&mut self.dirty_pending);
-        if !dirty.is_empty() {
-            let doomed = self.grid.expand_cells(&dirty, INVALIDATION_RINGS);
-            self.char_cache
-                .retain(|_, entry| !doomed.contains(&entry.cell));
-        }
-    }
-
-    /// Assembles the interval's characterization engine from the freshly
-    /// computed precompute slices plus the stored slices of every
-    /// cache-served device. Together the parts cover the abnormal set
-    /// exactly, whatever mix produced them.
-    fn merged_core(
-        &self,
-        table: &TrajectoryTable,
-        mut parts: Vec<(DeviceId, DevicePrecompute)>,
-    ) -> AnalyzerCore {
-        for &j in table.ids() {
-            if let Some(entry) = self.char_cache.get(&j.0) {
-                parts.push((j, entry.precompute.clone()));
-            }
-        }
-        AnalyzerCore::from_parts(table, self.params, parts)
     }
 
     /// Enrolls a device, building its detector with the configured factory.
@@ -544,11 +407,7 @@ impl Monitor {
                     .map_err(out_of_step)?;
             }
         }
-        if self.last_grid_update.is_some() {
-            Arc::make_mut(&mut self.grid)
-                .resize(id as usize + 1)
-                .map_err(out_of_step)?;
-        }
+        self.characterizer.join(DeviceId(id))?;
         Arc::make_mut(&mut self.keys).push(key);
         self.detectors.push(detector);
         self.flag_state.push((false, 0.0));
@@ -577,42 +436,29 @@ impl Monitor {
         };
         let (slot, last) = (slot as usize, self.keys.len().saturating_sub(1));
         let (id, last_id) = (DeviceId(slot as u32), DeviceId(last as u32));
-        // The leaver's trajectory disappears and the relocated device's
-        // dense id changes, so every cached verdict or dense set that
-        // involves either sits within the rings of their cells.
+        let mut rows: Vec<&Point> = Vec::new();
         if let Some(previous) = &self.previous {
             for s in [slot, last] {
                 if !self.epoch.is_newcomer(s) {
-                    let row = previous
-                        .try_position(DeviceId(s as u32))
-                        .map_err(out_of_step)?;
-                    self.dirty_pending.insert(self.cell_of(row));
+                    rows.push(
+                        previous
+                            .try_position(DeviceId(s as u32))
+                            .map_err(out_of_step)?,
+                    );
                 }
             }
         }
+        self.characterizer.leave(id, last_id, &rows)?;
         // Mirror the swap-remove in every slot-aligned structure.
         for snapshot in self.previous.iter_mut().chain(self.spare.iter_mut()) {
             snapshot.swap_remove_row(id).map_err(out_of_step)?;
         }
-        if self.last_grid_update.is_some() {
-            let grid = Arc::make_mut(&mut self.grid);
-            grid.remove(id).map_err(out_of_step)?;
-            grid.rekey(last_id, id).map_err(out_of_step)?;
-            grid.resize(last).map_err(out_of_step)?;
-        }
-        let relabel = |j: &mut DeviceId| {
+        self.spare_lag.retain(|&j| j != id);
+        for j in &mut self.spare_lag {
             if *j == last_id {
                 *j = id;
             }
-        };
-        self.spare_lag.retain(|&j| j != id);
-        self.spare_lag.iter_mut().for_each(relabel);
-        self.grid_staged.retain(|(j, _, _)| *j != id);
-        self.grid_staged.iter_mut().for_each(|(j, _, _)| relabel(j));
-        // The leaver's cached verdict goes; the relocated device's is keyed
-        // by its old id and anchored in a cell just dirtied, so it goes too.
-        self.char_cache.remove(&id.0);
-        self.char_cache.remove(&last_id.0);
+        }
         swap_remove_slot(&mut self.flagged_slots, slot, last);
         self.epoch.remove_slot(slot);
         self.index.remove(&key);
@@ -641,14 +487,11 @@ impl Monitor {
         }
         self.flag_state.fill((false, 0.0));
         self.flagged_slots.clear();
-        self.char_cache.clear();
-        self.dirty_pending.clear();
+        self.characterizer.reset();
         self.previous = None;
         self.epoch.reset();
         self.spare = None;
         self.spare_lag.clear();
-        self.grid_staged.clear();
-        self.last_grid_update = None;
         self.tracker.reset()
     }
 
@@ -714,23 +557,24 @@ impl Monitor {
     }
 
     /// Shared back half of [`Monitor::seal`]: feeds the detectors of the
-    /// slots that actually received an update, runs the characterization
+    /// slots that actually received an update, runs the characterize step
     /// over `[k−1, k]`, and rotates the snapshot buffers (`previous` ←
-    /// sealed snapshot, `spare` ← old previous, when shapes allow).
+    /// sealed snapshot, `spare` ← old previous).
     ///
     /// Detection is O(`delta.fed`), not O(population): a slot whose row
     /// was carried forward or defaulted keeps its **frozen** detector
     /// state and last verdict (see the [`StalenessPolicy`] docs for why
     /// freezing, not re-feeding, is the pinned semantics). Flag flips and
-    /// the epoch's changed cells feed the characterization cache's dirty
-    /// set.
+    /// the changed rows tell the [`Characterizer`] which cached verdicts
+    /// to drop.
     pub(super) fn advance(
         &mut self,
         current: Snapshot,
         stragglers: Stragglers,
-        delta: &SealDelta,
+        delta: SealDelta,
     ) -> Result<Report, MonitorError> {
         let detection_start = Stopwatch::start();
+        let mut flipped: Vec<u32> = Vec::new();
         for &slot in &delta.fed {
             let i = slot as usize;
             let point = current.try_position(DeviceId(slot))?;
@@ -740,75 +584,79 @@ impl Monitor {
                 .ok_or(MonitorError::internal("fed slot out of detector range"))?
                 .observe_vector(point.coords());
             let flagged_now = verdict.is_anomalous();
-            let was_flagged = self
+            let state = self
                 .flag_state
-                .get(i)
-                .map(|s| s.0)
+                .get_mut(i)
                 .ok_or(MonitorError::internal("fed slot out of flag-state range"))?;
-            if flagged_now != was_flagged {
+            if flagged_now != state.0 {
                 if flagged_now {
                     self.flagged_slots.insert(slot);
                 } else {
                     self.flagged_slots.remove(&slot);
                 }
-                // A_k membership changed at this device's position: every
-                // cached verdict in its neighbourhood is suspect.
-                self.dirty_pending.insert(self.cell_of(point));
+                flipped.push(slot);
             }
-            if let Some(state) = self.flag_state.get_mut(i) {
-                *state = (flagged_now, verdict.score());
-            }
+            *state = (flagged_now, verdict.score());
         }
-        self.dirty_pending
-            .extend(delta.changed_cells.iter().copied());
-        // A_k: every slot whose (possibly frozen) verdict is anomalous,
-        // with its score — read off the incrementally maintained flagged
-        // set (ascending, so the order matches a dense scan), O(|A_k|).
-        let mut flagged: Vec<(u32, f64)> = Vec::with_capacity(self.flagged_slots.len());
+        // A_k, read off the incrementally maintained flagged set (ascending,
+        // so the order matches a dense scan), O(|A_k|). Devices without a
+        // position at k−1 (all of them at the very first interval, newcomers
+        // after) are warming instead.
+        let first = self.previous.is_none();
+        let mut abnormal: Vec<DeviceId> = Vec::with_capacity(self.flagged_slots.len());
+        let mut warming: Vec<DeviceKey> = Vec::new();
         for &i in &self.flagged_slots {
-            let score =
-                self.flag_state
-                    .get(i as usize)
-                    .map(|s| s.1)
-                    .ok_or(MonitorError::internal(
-                        "flagged slot out of flag-state range",
-                    ))?;
-            flagged.push((i, score));
+            if first || delta.newcomers.contains(&i) {
+                warming.push(self.key_at(i)?);
+            } else {
+                abnormal.push(DeviceId(i));
+            }
         }
         let detection = detection_start.elapsed();
 
         let instant = self.instant;
         self.instant += 1;
-
-        // Characterization over [k-1, k].
-        let mut verdicts: Vec<DeviceVerdict> = Vec::new();
-        let mut warming: Vec<DeviceKey> = Vec::new();
+        let mut verdicts: Vec<DeviceVerdict> = Vec::with_capacity(abnormal.len());
         let mut characterization = Duration::ZERO;
-        let (new_previous, spare) = match self.previous.take() {
-            Some(previous) if flagged.is_empty() => (current, Some(previous)),
+        match self.previous.take() {
             Some(previous) => {
                 let char_start = Stopwatch::start();
-                let (new_previous, spare) = self.characterize_interval(
-                    previous,
-                    current,
-                    &flagged,
-                    delta,
-                    &mut verdicts,
-                    &mut warming,
-                )?;
-                characterization = char_start.elapsed();
-                (new_previous, Some(spare))
-            }
-            None => {
-                // Very first interval: every flagged device is warming.
-                for &(i, _) in &flagged {
-                    warming.push(self.key_at(i)?);
+                let pair = StatePair::new(previous, current)?;
+                let (pair, rows) = self.characterizer.seal(pair, &delta, &flipped, &abnormal)?;
+                for row in rows {
+                    let (_, score) =
+                        *self
+                            .flag_state
+                            .get(row.id.index())
+                            .ok_or(MonitorError::internal(
+                                "flagged slot out of flag-state range",
+                            ))?;
+                    let displacement = self.norm.distance(
+                        pair.before().try_position(row.id)?.coords(),
+                        pair.after().try_position(row.id)?.coords(),
+                    );
+                    verdicts.push(DeviceVerdict {
+                        key: self.key_at(row.id.0)?,
+                        id: row.id,
+                        characterization: row.characterization,
+                        score,
+                        displacement,
+                        vicinity: row.vicinity,
+                        component: row.component,
+                    });
                 }
-                (current, None)
+                if !self.flagged_slots.is_empty() {
+                    characterization = char_start.elapsed();
+                }
+                let (before, after) = pair.into_parts();
+                self.previous = Some(after);
+                self.spare = Some(before);
             }
-        };
-        self.previous = Some(new_previous);
-        self.spare = spare.or(self.spare.take());
+            None => self.previous = Some(current),
+        }
+        // The recycled buffer now lags the new previous snapshot by exactly
+        // the changed rows.
+        self.spare_lag = delta.changed;
         let mut report = Report {
             instant,
             population: self.keys.len(),
@@ -828,222 +676,6 @@ impl Monitor {
         self.tracker.push_history(report.summary());
         Ok(report)
     }
-
-    /// Pairs the previous and current snapshots, runs the local
-    /// characterization on the flagged devices — serving devices whose
-    /// `4r`-neighbourhood is untouched straight from the cache — and
-    /// enriches verdicts with displacement and vicinity context. Returns
-    /// the rotated snapshot buffers: `(new previous, recyclable spare)`,
-    /// both full snapshots, without a single clone.
-    ///
-    /// Newcomers have no position at `k−1`: flagged ones are listed as
-    /// warming, and neither the abnormal set nor the vicinity grid holds
-    /// them. `delta.changed_cells` are the sealing epoch's own changed
-    /// cells; they re-seed the dirty set after it is consumed, because
-    /// this epoch's movers have a different (stationary) trajectory at the
-    /// next instant even if they stay silent from here on.
-    fn characterize_interval(
-        &mut self,
-        previous: Snapshot,
-        current: Snapshot,
-        flagged: &[(u32, f64)],
-        delta: &SealDelta,
-        verdicts: &mut Vec<DeviceVerdict>,
-        warming: &mut Vec<DeviceKey>,
-    ) -> Result<(Snapshot, Snapshot), MonitorError> {
-        // A_k, plus each flagged device's score (only flagged devices are
-        // touched: O(|A_k|), not O(n)).
-        let mut abnormal: Vec<DeviceId> = Vec::new();
-        let mut scores: BTreeMap<u32, f64> = BTreeMap::new();
-        for &(slot, score) in flagged {
-            if delta.newcomers.contains(&slot) {
-                warming.push(self.key_at(slot)?);
-            } else {
-                abnormal.push(DeviceId(slot));
-                scores.insert(slot, score);
-            }
-        }
-        if abnormal.is_empty() {
-            return Ok((current, previous));
-        }
-        let pair = StatePair::new(previous, current)?;
-
-        // Vicinity index over the whole fleet (not only A_k), kept across
-        // instants: the staged cell moves accumulated by the sealing path
-        // are replayed incrementally (`apply_moves` — O(moved devices)),
-        // and joins and leaves edited it in place. Only the first
-        // characterized instant after build, reset or restore builds it.
-        let window = self.params.window();
-        let cell_side = window.max(1e-6);
-        let grid = Arc::make_mut(&mut self.grid);
-        let update = if self.last_grid_update.is_some() {
-            grid.apply_moves(&pair, cell_side, &self.grid_staged)
-                .map_err(out_of_step)?
-        } else {
-            grid.rebuild(&pair, cell_side);
-            GridUpdate::Rebuilt
-        };
-        if update == GridUpdate::Rebuilt {
-            for &slot in &delta.newcomers {
-                grid.remove(DeviceId(slot)).map_err(out_of_step)?;
-            }
-        }
-        self.last_grid_update = Some(update);
-        self.grid_staged.clear();
-
-        self.drop_dirty_entries();
-        // Echo: rows that changed this epoch change trajectory again next
-        // epoch (moving → stationary), so their cells go straight back
-        // into the dirty set for the next invalidation round.
-        self.dirty_pending
-            .extend(delta.changed_cells.iter().copied());
-        // Per device: (dense id, verdict, vicinity), cached or fresh.
-        let mut rows: Vec<(DeviceId, Characterization, usize)> = Vec::with_capacity(abnormal.len());
-        let mut fresh: Vec<DeviceId> = Vec::new();
-        for &j in &abnormal {
-            match self.char_cache.get(&j.0) {
-                Some(entry) => rows.push((j, entry.characterization, entry.vicinity)),
-                None => fresh.push(j),
-            }
-        }
-
-        // Fresh characterization in two per-device phases (both
-        // embarrassingly parallel, per Definition 1's locality): per-device
-        // motion precompute, merged with the cached slices into one
-        // engine, then verdicts and vicinities for the fresh devices only.
-        // Each phase is a list of shard jobs, run inline as one shard or
-        // on the worker pool; the merge is deterministic — parts are keyed
-        // by dense id — so the report is identical for every engine and
-        // worker count.
-        let mut fresh_rows: Vec<(DeviceId, Characterization, usize)> =
-            Vec::with_capacity(fresh.len());
-        let mut fresh_pre: BTreeMap<u32, DevicePrecompute> = BTreeMap::new();
-        let (pair, partition) = if fresh.is_empty() {
-            // Full cache hit: no trajectory table, no analyzer, no shard
-            // plan. The characterization cost of the epoch is the grid
-            // update plus one map lookup per flagged device. The spatial
-            // partition is recomputed from the cached dense slices —
-            // component ids are epoch-local ranks, so a cached id could go
-            // stale when an unrelated component vanishes, but the dense
-            // sets themselves are exactly as valid as the cached verdicts.
-            let partition = ComponentPartition::from_dense_sets(abnormal.iter().map(|&j| {
-                let dense = self
-                    .char_cache
-                    .get(&j.0)
-                    .map(|entry| entry.precompute.dense())
-                    .unwrap_or(&[]);
-                (j, dense)
-            }));
-            (pair, partition)
-        } else {
-            let table = Arc::new(TrajectoryTable::from_state_pair(&pair, &abnormal));
-            // Shards come from the grid-locality-aware plan over the whole
-            // abnormal set, restricted to the fresh devices.
-            let shard_count = self.engine.shard_count(fresh.len());
-            let shards: Vec<Vec<DeviceId>> = if shard_count <= 1 {
-                vec![fresh]
-            } else {
-                let fresh_set: BTreeSet<DeviceId> = fresh.into_iter().collect();
-                ShardPlan::build(&table, window, shard_count)
-                    .shards()
-                    .iter()
-                    .map(|shard| {
-                        shard
-                            .iter()
-                            .copied()
-                            .filter(|j| fresh_set.contains(j))
-                            .collect::<Vec<DeviceId>>()
-                    })
-                    .filter(|shard| !shard.is_empty())
-                    .collect()
-            };
-            let params = self.params;
-            let jobs: Vec<Job> = shards
-                .iter()
-                .map(|shard| Job::Precompute {
-                    table: Arc::clone(&table),
-                    params,
-                    shard: shard.clone(),
-                })
-                .collect();
-            let mut fresh_parts: Vec<(DeviceId, DevicePrecompute)> = Vec::new();
-            for output in run_phase(self.engine, &mut self.pool, &mut self.neighbor_buf, jobs)? {
-                fresh_parts.extend(output.into_parts()?);
-            }
-            fresh_pre.extend(fresh_parts.iter().map(|(j, pre)| (j.0, pre.clone())));
-            // The merged core covers the whole abnormal set (fresh slices
-            // plus every cached one), so its partition is the epoch's
-            // global one.
-            let core = Arc::new(self.merged_core(&table, fresh_parts));
-            let partition = core.component_partition();
-            let pair = Arc::new(pair);
-            let jobs: Vec<Job> = shards
-                .into_iter()
-                .map(|shard| Job::Verdicts {
-                    core: Arc::clone(&core),
-                    table: Arc::clone(&table),
-                    pair: Arc::clone(&pair),
-                    grid: Arc::clone(&self.grid),
-                    window,
-                    shard,
-                })
-                .collect();
-            for output in run_phase(self.engine, &mut self.pool, &mut self.neighbor_buf, jobs)? {
-                fresh_rows.extend(output.into_verdicts()?);
-            }
-            // Every job consumed its Arc clones before reporting its
-            // result, so after collecting all of them this is the only
-            // reference again (the clone arm is unreachable
-            // belt-and-braces).
-            (
-                Arc::try_unwrap(pair).unwrap_or_else(|arc| (*arc).clone()),
-                partition,
-            )
-        };
-
-        // Freshly decided devices enter the cache (with their precompute
-        // slice, for future merges) before joining the cached rows.
-        for &(j, characterization, vicinity) in &fresh_rows {
-            let precompute = fresh_pre.remove(&j.0).ok_or(MonitorError::internal(
-                "fresh device missing its precompute slice",
-            ))?;
-            let cell = self.cell_of(pair.after().position(j));
-            self.char_cache.insert(
-                j.0,
-                CacheEntry {
-                    cell,
-                    precompute,
-                    characterization,
-                    vicinity,
-                },
-            );
-        }
-        rows.extend(fresh_rows);
-
-        // Deterministic merge: id order here is exactly the report's verdict
-        // order whatever sharding produced the rows.
-        rows.sort_unstable_by_key(|r| r.0);
-        for (j, characterization, vicinity) in rows {
-            let displacement = self.norm.distance(
-                pair.before().position(j).coords(),
-                pair.after().position(j).coords(),
-            );
-            verdicts.push(DeviceVerdict {
-                key: self.key_at(j.0)?,
-                id: j,
-                characterization,
-                score: scores.get(&j.0).copied().unwrap_or(0.0),
-                displacement,
-                vicinity,
-                component: partition.component_of(j),
-            });
-        }
-
-        // Rotate the buffers: after → new previous, before → recyclable
-        // spare.
-        let (before, after) = pair.into_parts();
-        Ok((after, before))
-    }
 }
 
 /// Mirrors `Vec::swap_remove(slot)` on a set of dense slots: `slot` leaves
@@ -1057,7 +689,7 @@ pub(super) fn swap_remove_slot(set: &mut BTreeSet<u32>, slot: usize, last: usize
 
 /// A grid or snapshot edit failed: that structure is out of step with the
 /// fleet.
-fn out_of_step(_: QosError) -> MonitorError {
+pub(super) fn out_of_step(_: QosError) -> MonitorError {
     MonitorError::internal("slot-aligned state out of step with the fleet")
 }
 
@@ -1628,7 +1260,7 @@ mod tests {
 
         pub(super) const N: u64 = 60;
 
-        fn builder() -> MonitorBuilder {
+        pub(super) fn builder() -> MonitorBuilder {
             MonitorBuilder::new()
                 .staleness(StalenessPolicy::CarryForward { max_age: 10_000 })
                 .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.1)))
@@ -1695,8 +1327,11 @@ mod tests {
 
         /// Keys of the devices with a cached verdict, ascending.
         pub(super) fn cached(m: &Monitor) -> Vec<DeviceKey> {
-            let mut keys: Vec<DeviceKey> =
-                m.char_cache.keys().map(|&j| m.key_at(j).unwrap()).collect();
+            let mut keys: Vec<DeviceKey> = m
+                .characterizer
+                .cached()
+                .map(|j| m.key_at(j).unwrap())
+                .collect();
             keys.sort_unstable();
             keys
         }
@@ -1710,7 +1345,7 @@ mod tests {
         // from the cluster; #100 joins far away too.
         m.leave(40u64).unwrap();
         m.join(100u64).unwrap();
-        m.drop_dirty_entries();
+        m.characterizer.drop_dirty_entries();
         assert_eq!(cached(&m), (0..6).map(DeviceKey).collect::<Vec<_>>());
         let r = seal(&mut m, &[(100, 0.8)]);
         assert_eq!(r.verdicts().len(), 6);
@@ -1718,7 +1353,7 @@ mod tests {
             m.last_grid_update(),
             Some(GridUpdate::Incremental { rebucketed: 0 })
         );
-        m.drop_dirty_entries();
+        m.characterizer.drop_dirty_entries();
         assert_eq!(cached(&m), (0..6).map(DeviceKey).collect::<Vec<_>>());
         quiet(&mut m);
     }
@@ -1730,7 +1365,7 @@ mod tests {
         // #6 leaves from cell 4: its rings cover cells 2..6, so #3..#5 are
         // recomputed and #0..#2 in cell 1 stay cached.
         m.leave(6u64).unwrap();
-        m.drop_dirty_entries();
+        m.characterizer.drop_dirty_entries();
         assert_eq!(cached(&m), (0..3).map(DeviceKey).collect::<Vec<_>>());
         quiet(&mut m);
         quiet(&mut m);
@@ -1752,10 +1387,58 @@ mod tests {
         // changes, so the entries within its rings go.
         m.leave(40u64).unwrap();
         assert_eq!(m.id_of(DeviceKey(200)), Some(DeviceId(40)));
-        m.drop_dirty_entries();
+        m.characterizer.drop_dirty_entries();
         assert_eq!(cached(&m), (0..3).map(DeviceKey).collect::<Vec<_>>());
         quiet(&mut m);
         quiet(&mut m);
+    }
+
+    /// Two frozen chains of overlapping dense motions, #0..#11 below and
+    /// #12..#23 above a gap wider than 2r, and #24, which jumps into the
+    /// gap and stays: at the next seal its verdict is fresh while the far
+    /// ends of both chains, beyond the rings of its cell, are still served
+    /// from the cache, and its dense motions link both chains into one
+    /// component.
+    #[test]
+    fn a_fresh_device_links_two_cached_components() {
+        use frozen_cluster::{builder, cached, seal};
+        // The centre of cell 8, whose rings cover cells 6..=10, and the
+        // chain members' distances from it: the last two lie in cells 5
+        // and 11.
+        const MID: f64 = 8.5 / 16.0;
+        const OFFSETS: [f64; 12] = [
+            0.045, 0.05, 0.055, 0.069, 0.083, 0.097, 0.111, 0.125, 0.139, 0.153, 0.167, 0.181,
+        ];
+        let spot = |k: u64| match k {
+            0..=11 => MID - OFFSETS[k as usize],
+            12..=23 => MID + OFFSETS[k as usize - 12],
+            _ => 0.9 + 0.01 * (k - 24) as f64,
+        };
+        let component = |r: &Report, k: u64| {
+            let verdict = r.verdicts().iter().find(|v| v.key == DeviceKey(k));
+            verdict.and_then(|v| v.component)
+        };
+        let mut m = builder().fleet(30).build().unwrap();
+        let home: Vec<(u64, f64)> = (0..30)
+            .map(|k| (k, if k < 24 { spot(k) - 0.3 } else { spot(k) }))
+            .collect();
+        seal(&mut m, &home);
+        seal(&mut m, &home);
+        let jump: Vec<(u64, f64)> = (0..24).map(|k| (k, spot(k))).collect();
+        assert_eq!(seal(&mut m, &jump).verdicts().len(), 24);
+        seal(&mut m, &[(29, spot(29) + 0.004)]);
+        let r = seal(&mut m, &[(29, spot(29))]);
+        assert_eq!(cached(&m), (0..24).map(DeviceKey).collect::<Vec<_>>());
+        assert!(component(&r, 11).is_some());
+        assert_ne!(component(&r, 11), component(&r, 23));
+        // #24's own jump leaves it alone: its k−1 position is far away.
+        assert_eq!(seal(&mut m, &[(24, MID)]).verdicts().len(), 25);
+        m.characterizer.drop_dirty_entries();
+        assert_eq!(cached(&m), [10, 11, 22, 23].map(DeviceKey).to_vec());
+        let r = seal(&mut m, &[(29, spot(29) + 0.004)]);
+        assert!(component(&r, 24).is_some());
+        assert_eq!(component(&r, 11), component(&r, 24));
+        assert_eq!(component(&r, 23), component(&r, 24));
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! The characterization jobs and the persistent worker pool that runs
-//! them for the threaded engine.
+//! them for the threaded engine. The pool belongs to the seal's
+//! characterize step, [`Characterizer`](super::characterize::Characterizer),
+//! which plans the jobs of each epoch.
 //!
 //! Both engines run the same [`Job`]s: [`run_phase`] executes a phase
 //! inline on the calling thread under [`Engine::Sequential`] (which plans
 //! one shard) or when it is a single shard, and otherwise ships it to the
 //! pool.
 //!
-//! The earlier [`Engine::Threaded`](super::Engine::Threaded) implementation
-//! spawned fresh scoped threads twice per sealed epoch (one round for the
-//! per-device precompute, one for the verdicts). On small flagged sets the
-//! spawn/join cost dominated the work itself and made the threaded engine
-//! *slower* than the sequential one. This pool spawns its OS threads once,
-//! keeps them parked on channel receives between epochs, and ships each
-//! phase to them as [`Job`]s over per-worker channels.
+//! The pool spawns its OS threads once, keeps them parked on channel
+//! receives between epochs, and ships each phase to them as [`Job`]s over
+//! per-worker channels, so a small flagged set does not pay a thread
+//! spawn and join per phase.
 //!
 //! Inputs are shared as `Arc`s: the engine is an owned [`AnalyzerCore`]
 //! beside an `Arc<TrajectoryTable>`, with no borrow to tie a job to the
@@ -23,8 +22,8 @@
 //!
 //! Worker panics are contained with `catch_unwind` and surface as a typed
 //! [`MonitorError`] (conformance C1: no panic may cross the pipeline
-//! boundary); the monitor drops the poisoned pool and rebuilds it on the
-//! next threaded epoch.
+//! boundary); the characterizer drops the poisoned pool and rebuilds it
+//! on the next threaded epoch.
 
 use super::engine::Engine;
 use super::error::MonitorError;

@@ -11,7 +11,7 @@
 //! monitor whose reports match the oracle epoch after epoch reuses
 //! nothing it should have recomputed.
 
-use anomaly_characterization::core::{AnalyzerCore, TrajectoryTable};
+use anomaly_characterization::core::{AnalyzerCore, ComponentPartition, TrajectoryTable};
 use anomaly_characterization::pipeline::{DeviceKey, Monitor, Report};
 use anomaly_characterization::qos::{DeviceId, GridIndex, Norm, Snapshot, StatePair};
 use std::collections::BTreeMap;
@@ -116,7 +116,8 @@ fn verify(
     let window = params.window();
     let table = TrajectoryTable::from_state_pair(&pair, &abnormal);
     let analyzer = AnalyzerCore::new(&table, params);
-    let partition = analyzer.component_partition();
+    let partition =
+        ComponentPartition::from_dense_sets(abnormal.iter().map(|&j| (j, analyzer.wbar_of(j))));
     let grid = GridIndex::build(&pair, window.max(1e-6));
 
     let mut divergent: Vec<String> = Vec::new();
