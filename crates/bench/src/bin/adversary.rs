@@ -1,31 +1,4 @@
-//! The paper's future-work experiment (Section VIII), realized: how many
-//! colluding devices does it take to suppress an honest isolated report?
-//!
-//! For each density threshold τ, sweeps coalition sizes until the victim's
-//! isolated verdict flips — the attack cost the characterization imposes.
-//!
-//! Run with `cargo run --release -p anomaly-bench --bin adversary`.
-
-use anomaly_core::Params;
-use anomaly_simulator::adversary::minimum_winning_coalition;
-use anomaly_simulator::{DestinationModel, ScenarioConfig};
-
+//! Section VIII: the minimum coalition that suppresses an isolated report.
 fn main() {
-    println!("# Adversary — minimum colluding devices to suppress an isolated report");
-    println!("  (n = 400, A = 6, shadow trajectories within r/2 of the victim)");
-    println!("  {:<8} {:>24}", "tau", "min winning coalition");
-    for tau in [1usize, 2, 3, 4, 6, 8] {
-        let mut config = ScenarioConfig::paper_defaults(1_000 + tau as u64);
-        config.n = 400;
-        config.errors_per_step = 6;
-        config.isolated_prob = 0.9;
-        config.destination = DestinationModel::Uniform;
-        config.params = Params::new(0.03, tau).expect("valid tau");
-        let min = minimum_winning_coalition(&config, 2 * tau + 4, 99).expect("valid scenario");
-        match min {
-            Some(c) => println!("  {tau:<8} {c:>24}"),
-            None => println!("  {tau:<8} {:>24}", "no victim / not found"),
-        }
-    }
-    println!("\n  expected: the coalition must reach tau — the threshold is the defence.");
+    anomaly_bench::experiments::adversary();
 }

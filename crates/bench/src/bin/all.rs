@@ -16,4 +16,8 @@ fn main() {
     experiments::fig9(steps);
     println!();
     experiments::baselines(steps);
+    println!();
+    experiments::granularity(steps);
+    println!();
+    experiments::adversary();
 }

@@ -1,31 +1,4 @@
-//! Section VII-C experiment: the effect of the (locally tunable) sampling
-//! frequency on unresolved configurations. A fixed epoch workload of 60
-//! errors is observed at increasing snapshot frequencies; the unresolved
-//! ratio should shrink toward zero as each interval carries fewer
-//! concomitant errors.
-//!
-//! Run with `cargo run --release -p anomaly-bench --bin granularity`.
-
-use anomaly_bench::repro_steps;
-use anomaly_simulator::{sweep::granularity_sweep, ScenarioConfig};
-
+//! Section VII-C: sampling granularity vs unresolved configurations.
 fn main() {
-    let epochs = repro_steps().max(2);
-    println!("# Sampling granularity — 60 errors per epoch, G = 0 (massive-heavy)");
-    println!("  (n = 1000, r = 0.03, tau = 3, {epochs} epochs per point)");
-    let mut base = ScenarioConfig::paper_defaults(20141);
-    base.isolated_prob = 0.0;
-    let points = granularity_sweep(&base, 60, &[1, 2, 4, 6, 12, 30, 60], epochs, true)
-        .expect("valid scenario");
-    println!(
-        "  {:>10} {:>18} {:>14}",
-        "freq/epoch", "errors/interval", "|U|/|A| (%)"
-    );
-    for p in &points {
-        println!(
-            "  {:>10} {:>18} {:>14.2}",
-            p.frequency, p.errors_per_interval, p.unresolved_pct
-        );
-    }
-    println!("\n  expected: the ratio shrinks as sampling gets finer (Section VII-C).");
+    anomaly_bench::experiments::granularity(anomaly_bench::repro_steps());
 }

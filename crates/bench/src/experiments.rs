@@ -7,7 +7,10 @@ use anomaly_analytic::{
 use anomaly_baselines::{
     compare_on_scenario, Classifier, KMeansClassifier, TessellationClassifier,
 };
-use anomaly_simulator::{runner::analyze_step, sweep::sweep_grid, ScenarioConfig, Simulation};
+use anomaly_core::Params;
+use anomaly_simulator::adversary::minimum_winning_coalition;
+use anomaly_simulator::sweep::{granularity_sweep, sweep_grid};
+use anomaly_simulator::{runner::analyze_step, DestinationModel, ScenarioConfig, Simulation};
 
 /// The `A` grid of Figures 7–9.
 pub const A_VALUES: [usize; 7] = [1, 10, 20, 30, 40, 50, 60];
@@ -244,6 +247,55 @@ pub fn baselines(steps: u64) {
         "  ({} abnormal devices over {} steps)",
         report.abnormal, report.steps
     );
+}
+
+/// Section VII-C: the effect of the (locally tunable) sampling frequency
+/// on unresolved configurations. A fixed epoch workload of 60 errors is
+/// observed at increasing snapshot frequencies; the unresolved ratio should
+/// shrink toward zero as each interval carries fewer concomitant errors.
+pub fn granularity(steps: u64) {
+    let epochs = steps.max(2);
+    println!("# Sampling granularity — 60 errors per epoch, G = 0 (massive-heavy)");
+    println!("  (n = 1000, r = 0.03, tau = 3, {epochs} epochs per point)");
+    let mut base = ScenarioConfig::paper_defaults(20141);
+    base.isolated_prob = 0.0;
+    let points = granularity_sweep(&base, 60, &[1, 2, 4, 6, 12, 30, 60], epochs, true)
+        .expect("valid scenario");
+    println!(
+        "  {:>10} {:>18} {:>14}",
+        "freq/epoch", "errors/interval", "|U|/|A| (%)"
+    );
+    for p in &points {
+        println!(
+            "  {:>10} {:>18} {:>14.2}",
+            p.frequency, p.errors_per_interval, p.unresolved_pct
+        );
+    }
+    println!("\n  expected: the ratio shrinks as sampling gets finer (Section VII-C).");
+}
+
+/// The paper's future-work experiment (Section VIII), realized: how many
+/// colluding devices does it take to suppress an honest isolated report?
+/// For each density threshold τ, sweeps coalition sizes until the victim's
+/// isolated verdict flips — the attack cost the characterization imposes.
+pub fn adversary() {
+    println!("# Adversary — minimum colluding devices to suppress an isolated report");
+    println!("  (n = 400, A = 6, shadow trajectories within r/2 of the victim)");
+    println!("  {:<8} {:>24}", "tau", "min winning coalition");
+    for tau in [1usize, 2, 3, 4, 6, 8] {
+        let mut config = ScenarioConfig::paper_defaults(1_000 + tau as u64);
+        config.n = 400;
+        config.errors_per_step = 6;
+        config.isolated_prob = 0.9;
+        config.destination = DestinationModel::Uniform;
+        config.params = Params::new(0.03, tau).expect("valid tau");
+        let min = minimum_winning_coalition(&config, 2 * tau + 4, 99).expect("valid scenario");
+        match min {
+            Some(c) => println!("  {tau:<8} {c:>24}"),
+            None => println!("  {tau:<8} {:>24}", "no victim / not found"),
+        }
+    }
+    println!("\n  expected: the coalition must reach tau — the threshold is the defence.");
 }
 
 #[cfg(test)]

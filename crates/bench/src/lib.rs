@@ -8,10 +8,13 @@
 //! cargo run -p anomaly-bench --bin all
 //! ```
 //!
-//! or individually (`fig6a`, `fig6b`, `table2`, `table3`, `fig7`, `fig8`,
-//! `fig9`, `baselines`). The `REPRO_STEPS` environment variable scales the
+//! or individually (`fig6a`, `fig6b`, `table2` — Tables II and III share
+//! its runs — `fig7`, `fig8`, `fig9`, `baselines`, `granularity`,
+//! `adversary`). The `REPRO_STEPS` environment variable scales the
 //! Monte-Carlo effort (default 20 steps per grid point; the paper averaged
-//! ~10 000 settings — raise it when you have the time).
+//! ~10 000 settings — raise it when you have the time). `all`'s output at
+//! the default effort is committed as `BENCH_paper.txt`, and CI checks a
+//! fresh run against it byte for byte.
 
 #![forbid(unsafe_code)]
 #![deny(warnings)]

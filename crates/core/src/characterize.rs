@@ -343,26 +343,10 @@ impl AnalyzerCore {
     /// are recorded as overflowed and later reported unresolved (a
     /// conservative, never-wrong verdict) instead of stalling.
     pub fn new(table: &TrajectoryTable, params: Params) -> Self {
-        AnalyzerCore::with_enumeration_budget(table, params, DEFAULT_ENUMERATION_BUDGET)
-    }
-
-    /// Builds the engine with a custom per-device enumeration budget
-    /// (window moves). Devices exceeding it are reported unresolved.
-    pub fn with_enumeration_budget(
-        table: &TrajectoryTable,
-        params: Params,
-        max_window_moves: u64,
-    ) -> Self {
-        let parts: Vec<(DeviceId, DevicePrecompute)> = table
-            .ids()
-            .iter()
-            .map(|&j| {
-                (
-                    j,
-                    Self::precompute_device(table, &params, j, max_window_moves),
-                )
-            })
-            .collect();
+        let parts = table.ids().iter().map(|&j| {
+            let part = Self::precompute_device(table, &params, j, DEFAULT_ENUMERATION_BUDGET);
+            (j, part)
+        });
         Self::from_parts(table, params, parts)
     }
 
@@ -467,15 +451,6 @@ impl AnalyzerCore {
         &self.params
     }
 
-    /// `M(j)`: all maximal motions containing `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no part was merged for `j`.
-    pub fn motions_of(&self, j: DeviceId) -> &[DeviceSet] {
-        &self.motions[&j]
-    }
-
     /// `W̄_k(j)`: maximal τ-dense motions containing `j`.
     ///
     /// # Panics
@@ -503,28 +478,28 @@ impl AnalyzerCore {
     ///
     /// Panics if no part was merged for `j`.
     pub fn characterize(&self, j: DeviceId) -> Characterization {
-        let mut cost = Cost {
+        self.fast_path(j).0
+    }
+
+    /// Algorithm 3's fast path. A device it leaves inconclusive — tentative
+    /// unresolved with complete motion families — comes back with those
+    /// families, for the Theorem 7 search; every other verdict is final.
+    fn fast_path(&self, j: DeviceId) -> (Characterization, Option<Families>) {
+        let cost = Cost {
             maximal_motions: self.motions[&j].len(),
             dense_motions: self.wbar[&j].len(),
             collections_tested: 0,
             window_moves: self.precompute_moves[&j],
         };
+        let verdict = |class, rule| Characterization { class, rule, cost };
         // Enumeration overflow: the neighbourhood was too pathological to
         // analyze within budget — conservatively unresolved.
         if self.overflowed.contains(&j) {
-            return Characterization {
-                class: AnomalyClass::Unresolved,
-                rule: Rule::Algorithm3,
-                cost,
-            };
+            return (verdict(AnomalyClass::Unresolved, Rule::Algorithm3), None);
         }
         // Theorem 5: no dense motion at all.
         if self.wbar[&j].is_empty() {
-            return Characterization {
-                class: AnomalyClass::Isolated,
-                rule: Rule::Theorem5,
-                cost,
-            };
+            return (verdict(AnomalyClass::Isolated, Rule::Theorem5), None);
         }
         let families = self.families_of(j);
         // If any neighbour consulted by the families overflowed its own
@@ -533,11 +508,7 @@ impl AnalyzerCore {
         if !self.overflowed.is_empty()
             && families.d_set.iter().any(|m| self.overflowed.contains(&m))
         {
-            return Characterization {
-                class: AnomalyClass::Unresolved,
-                rule: Rule::Algorithm3,
-                cost,
-            };
+            return (verdict(AnomalyClass::Unresolved, Rule::Algorithm3), None);
         }
         // Theorem 6 via Algorithm 3 line 17: a maximal dense motion whose
         // intersection with J_k(j) is itself dense. (That intersection is a
@@ -547,18 +518,12 @@ impl AnalyzerCore {
             .iter()
             .any(|m| m.intersection_len(&families.j_set) > tau)
         {
-            return Characterization {
-                class: AnomalyClass::Massive,
-                rule: Rule::Theorem6,
-                cost,
-            };
+            return (verdict(AnomalyClass::Massive, Rule::Theorem6), None);
         }
-        cost.collections_tested = 0;
-        Characterization {
-            class: AnomalyClass::Unresolved,
-            rule: Rule::Algorithm3,
-            cost,
-        }
+        (
+            verdict(AnomalyClass::Unresolved, Rule::Algorithm3),
+            Some(families),
+        )
     }
 
     /// Algorithm 3 + Algorithms 4–5 against `table`: exact verdict via the
@@ -568,37 +533,22 @@ impl AnalyzerCore {
     ///
     /// Panics if no part was merged for `j`.
     pub fn characterize_full(&self, table: &TrajectoryTable, j: DeviceId) -> Characterization {
-        let quick = self.characterize(j);
-        if quick.rule != Rule::Algorithm3 {
+        let (quick, families) = self.fast_path(j);
+        // A final fast-path verdict stands; so does an overflowed
+        // neighbourhood's unresolved one, as the NSC cannot run on
+        // incomplete motion families.
+        let Some(families) = families else {
             return quick;
-        }
-        // Overflowed neighbourhoods stay conservatively unresolved; the
-        // NSC cannot run on incomplete motion families.
-        if self.overflowed.contains(&j) {
-            return quick;
-        }
-        let families = self.families_of(j);
-        if !self.overflowed.is_empty()
-            && families.d_set.iter().any(|m| self.overflowed.contains(&m))
-        {
-            return quick;
-        }
+        };
         let (massive, tested) = self.nsc_massive(table, j, &families);
         let mut cost = quick.cost;
         cost.collections_tested = tested;
-        if massive {
-            Characterization {
-                class: AnomalyClass::Massive,
-                rule: Rule::Theorem7,
-                cost,
-            }
+        let (class, rule) = if massive {
+            (AnomalyClass::Massive, Rule::Theorem7)
         } else {
-            Characterization {
-                class: AnomalyClass::Unresolved,
-                rule: Rule::Corollary8,
-                cost,
-            }
-        }
+            (AnomalyClass::Unresolved, Rule::Corollary8)
+        };
+        Characterization { class, rule, cost }
     }
 
     /// Characterizes every device of `table` with the fast path
@@ -870,12 +820,22 @@ mod tests {
         assert_eq!(Rule::Corollary8.to_string(), "Corollary 8");
     }
 
+    /// The engine with a custom per-device enumeration budget, assembled
+    /// the way the monitor's pool does it.
+    fn with_budget(t: &TrajectoryTable, max_window_moves: u64) -> AnalyzerCore {
+        let parts = t.ids().iter().map(|&j| {
+            let part = AnalyzerCore::precompute_device(t, &params(3), j, max_window_moves);
+            (j, part)
+        });
+        AnalyzerCore::from_parts(t, params(3), parts)
+    }
+
     #[test]
     fn enumeration_overflow_degrades_to_unresolved() {
         // A starving budget: everything overflows, nothing stalls, and
         // every verdict is the conservative Unresolved.
         let t = simple_table();
-        let a = AnalyzerCore::with_enumeration_budget(&t, params(3), 1);
+        let a = with_budget(&t, 1);
         assert_eq!(a.overflowed_devices().count(), t.len());
         for &j in t.ids() {
             let quick = a.characterize(j);
@@ -889,7 +849,7 @@ mod tests {
     #[test]
     fn generous_budget_matches_unbounded() {
         let t = simple_table();
-        let bounded = AnalyzerCore::with_enumeration_budget(&t, params(3), 1_000_000);
+        let bounded = with_budget(&t, 1_000_000);
         let unbounded = AnalyzerCore::new(&t, params(3));
         assert_eq!(bounded.overflowed_devices().count(), 0);
         for &j in t.ids() {

@@ -9,8 +9,8 @@
 //! Provided building blocks:
 //!
 //! * [`Point`] / [`DeviceId`] — positions of devices in `E`.
-//! * [`norm`] — the uniform (L∞) norm used throughout the paper, plus L1/L2
-//!   for completeness (all norms on `E` are equivalent, Section III-B).
+//! * [`norm`] — the uniform (L∞) norm used throughout the paper (all norms
+//!   on `E` are equivalent, Section III-B).
 //! * [`QosSpace`] — dimension-checked construction and containment.
 //! * [`Snapshot`] / [`StatePair`] — the system states `S_{k-1}`, `S_k`.
 //! * [`Trajectory`] — a device's motion between two successive snapshots.
@@ -47,7 +47,7 @@ mod trajectory;
 
 pub use error::QosError;
 pub use grid::{GridIndex, GridUpdate};
-pub use norm::{l1_distance, l2_distance, uniform_distance, Norm, NormKind};
+pub use norm::uniform_distance;
 pub use point::{DeviceId, Point};
 pub use snapshot::{Snapshot, StatePair};
 pub use space::QosSpace;

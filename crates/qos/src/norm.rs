@@ -2,11 +2,8 @@
 //!
 //! The paper uses the uniform norm `‖x‖ = max_i |x_i|` throughout
 //! (Section III-B), noting that on a finite-dimensional space all norms are
-//! equivalent up to a constant factor. We expose the uniform norm as the
-//! default along with L1 and L2 for experimentation, behind the [`Norm`]
-//! trait so the characterization core stays norm-generic where it matters.
-
-use crate::point::Point;
+//! equivalent up to a constant factor. Every definition and theorem is
+//! stated in it, so it is the only norm this crate provides.
 
 /// Distance under the uniform (L∞, Chebyshev) norm.
 ///
@@ -28,71 +25,6 @@ pub fn uniform_distance(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Distance under the L1 (Manhattan) norm.
-///
-/// # Panics
-///
-/// Panics if the two slices have different lengths.
-pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "distance requires equal dimensions");
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
-/// Distance under the L2 (Euclidean) norm.
-///
-/// # Panics
-///
-/// Panics if the two slices have different lengths.
-pub fn l2_distance(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "distance requires equal dimensions");
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt()
-}
-
-/// A norm-induced distance on the QoS space.
-///
-/// This trait is sealed in spirit — the characterization theorems are stated
-/// for the uniform norm, so downstream code should default to
-/// [`NormKind::Uniform`]; the other kinds exist for sensitivity experiments.
-pub trait Norm {
-    /// Distance between two coordinate slices.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic if the slices have different lengths.
-    fn distance(&self, a: &[f64], b: &[f64]) -> f64;
-
-    /// Distance between two points.
-    fn point_distance(&self, a: &Point, b: &Point) -> f64 {
-        self.distance(a.coords(), b.coords())
-    }
-}
-
-/// The concrete norms shipped with this crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum NormKind {
-    /// Uniform (L∞) norm — the norm the paper's theorems are stated in.
-    #[default]
-    Uniform,
-    /// Manhattan (L1) norm.
-    L1,
-    /// Euclidean (L2) norm.
-    L2,
-}
-
-impl Norm for NormKind {
-    fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
-        match self {
-            NormKind::Uniform => uniform_distance(a, b),
-            NormKind::L1 => l1_distance(a, b),
-            NormKind::L2 => l2_distance(a, b),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,33 +36,6 @@ mod tests {
     }
 
     #[test]
-    fn l1_is_sum_abs_diff() {
-        assert!((l1_distance(&[0.0, 0.0], &[0.3, -0.7]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn l2_is_euclidean() {
-        assert!((l2_distance(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn norm_kind_dispatches() {
-        let a = [0.1, 0.2];
-        let b = [0.4, 0.6];
-        assert_eq!(NormKind::Uniform.distance(&a, &b), uniform_distance(&a, &b));
-        assert_eq!(NormKind::L1.distance(&a, &b), l1_distance(&a, &b));
-        assert_eq!(NormKind::L2.distance(&a, &b), l2_distance(&a, &b));
-    }
-
-    #[test]
-    fn point_distance_matches_slice_distance() {
-        let p = Point::new_unchecked(vec![0.2, 0.4]);
-        let q = Point::new_unchecked(vec![0.25, 0.1]);
-        let d = NormKind::Uniform.point_distance(&p, &q);
-        assert!((d - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "equal dimensions")]
     fn mismatched_dimensions_panic() {
         uniform_distance(&[0.0], &[0.0, 1.0]);
@@ -138,15 +43,16 @@ mod tests {
 
     proptest! {
         /// Norm equivalence on finite-dimensional spaces (Section III-B):
-        /// `L∞ ≤ L2 ≤ L1 ≤ d · L∞`.
+        /// `L∞ ≤ L2 ≤ L1 ≤ d · L∞`, with L1 and L2 computed here.
         #[test]
         fn norm_equivalence(a in proptest::collection::vec(0.0..1.0f64, 1..6),
                             b in proptest::collection::vec(0.0..1.0f64, 1..6)) {
             let d = a.len().min(b.len());
             let (a, b) = (&a[..d], &b[..d]);
+            let gaps = || a.iter().zip(b).map(|(x, y)| (x - y).abs());
             let li = uniform_distance(a, b);
-            let l1 = l1_distance(a, b);
-            let l2 = l2_distance(a, b);
+            let l1: f64 = gaps().sum();
+            let l2 = gaps().map(|g| g * g).sum::<f64>().sqrt();
             prop_assert!(li <= l2 + 1e-12);
             prop_assert!(l2 <= l1 + 1e-12);
             prop_assert!(l1 <= d as f64 * li + 1e-12);

@@ -327,85 +327,31 @@ impl EventSpan {
 /// The chaining is deterministic (steps in order, groups in their given
 /// order, candidate spans in creation order) and gap-free: one quiet step
 /// ends a span — mirroring a tracker debounce of one bridging epoch, which
-/// is exactly what the evaluation monitors run with.
-///
-/// Component-blind: every group carries an absent spatial component, so
-/// any same-step groups that overlap one span all fold into it. When the
-/// groups carry spatial component ids, use [`link_component_event_spans`].
+/// is exactly what the evaluation monitors run with. Same-step groups
+/// that overlap one span all fold into it.
 pub fn link_event_spans<'a, I, S>(steps: I) -> Vec<EventSpan>
 where
     I: IntoIterator<Item = S>,
     S: IntoIterator<Item = &'a (DeviceSet, bool)>,
 {
-    link_spans_impl(steps.into_iter().map(|groups| {
-        groups
-            .into_iter()
-            .map(|(devices, massive)| (devices, *massive, None))
-            .collect()
-    }))
-}
-
-/// Component-aware [`link_event_spans`]: each group is
-/// `(devices, massive, component)`, where the component is the group's
-/// epoch-local spatial component rank (or `None` for component-blind
-/// groups, which behave exactly as under [`link_event_spans`]).
-///
-/// Component ids are **epoch-local** — rank `0` this step and rank `0`
-/// next step need not be the same blob — so the ids never link *across*
-/// steps (device overlap still does that). They split *within* a step: a
-/// span extended by a group of component `c` at step `s` is claimed for
-/// `c` at `s`, and a same-step group of a different component must open
-/// its own span even when it overlaps the span's historical device set.
-/// Two coincident spatially-disjoint outages therefore score as two
-/// predicted events, never one.
-pub fn link_component_event_spans<'a, I, S>(steps: I) -> Vec<EventSpan>
-where
-    I: IntoIterator<Item = S>,
-    S: IntoIterator<Item = &'a (DeviceSet, bool, Option<u32>)>,
-{
-    link_spans_impl(steps.into_iter().map(|groups| {
-        groups
-            .into_iter()
-            .map(|(devices, massive, component)| (devices, *massive, *component))
-            .collect()
-    }))
-}
-
-/// The shared chaining core: per-step groups with optional spatial
-/// components, a per-step claim table enforcing the same-component rule.
-fn link_spans_impl<'a>(
-    steps: impl IntoIterator<Item = Vec<(&'a DeviceSet, bool, Option<u32>)>>,
-) -> Vec<EventSpan> {
     let mut spans: Vec<EventSpan> = Vec::new();
     for (step, groups) in steps.into_iter().enumerate() {
-        // Span index → the component that extended it at this step; a
-        // claimed span only accepts further same-step groups of the same
-        // component (`None` claims preserve the component-blind merge).
-        let mut claimed: std::collections::BTreeMap<usize, Option<u32>> =
-            std::collections::BTreeMap::new();
-        for (devices, massive, component) in groups {
-            let continued = spans.iter().enumerate().position(|(idx, span)| {
-                (span.last + 1 == step || span.last == step)
-                    && !span.devices.is_disjoint(devices)
-                    && claimed.get(&idx).is_none_or(|&prev| prev == component)
+        for (devices, massive) in groups {
+            let continued = spans.iter_mut().find(|span| {
+                (span.last + 1 == step || span.last == step) && !span.devices.is_disjoint(devices)
             });
             match continued {
-                Some(idx) => {
-                    let span = &mut spans[idx];
+                Some(span) => {
                     span.last = step;
                     span.devices = span.devices.union(devices);
-                    span.massive |= massive;
-                    claimed.insert(idx, component);
+                    span.massive |= *massive;
                 }
-                None => {
-                    claimed.insert(spans.len(), component);
-                    spans.push(EventSpan {
-                        onset: step,
-                        last: step,
-                        devices: devices.clone(),
-                        massive,
-                    });
-                }
+                None => spans.push(EventSpan {
+                    onset: step,
+                    last: step,
+                    devices: devices.clone(),
+                    massive: *massive,
+                }),
             }
         }
     }
@@ -751,58 +697,6 @@ mod tests {
         assert!(spans[0].massive, "peak size 4 > tau 3");
         let spans = link_truth_events(steps[..1].iter(), 3);
         assert!(!spans[0].massive);
-    }
-
-    #[test]
-    fn same_step_groups_with_distinct_components_split_spans() {
-        // Step 0: one blob (component 0). Step 1: two groups that BOTH
-        // overlap the blob's historical devices but carry distinct
-        // components — the second must open its own span instead of
-        // folding into the claimed one.
-        let steps = [
-            vec![(DeviceSet::from([0u32, 1, 2, 3]), true, Some(0))],
-            vec![
-                (DeviceSet::from([0u32, 1]), true, Some(0)),
-                (DeviceSet::from([2u32, 3, 4]), true, Some(1)),
-            ],
-        ];
-        let spans = link_component_event_spans(steps.iter().map(|g| g.iter()));
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0], span(0, 1, &[0, 1, 2, 3], true));
-        assert_eq!(spans[1], span(1, 1, &[2, 3, 4], true));
-    }
-
-    #[test]
-    fn components_are_epoch_local_and_never_link_across_steps() {
-        // The same physical blob gets rank 0 at step 0 and rank 5 at
-        // step 1 (an unrelated component vanished): device overlap still
-        // chains it into one span — ranks only arbitrate within a step.
-        let steps = [
-            vec![(DeviceSet::from([0u32, 1]), true, Some(0))],
-            vec![(DeviceSet::from([1u32, 2]), true, Some(5))],
-        ];
-        let spans = link_component_event_spans(steps.iter().map(|g| g.iter()));
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0], span(0, 1, &[0, 1, 2], true));
-    }
-
-    #[test]
-    fn componentless_groups_link_like_the_blind_linker() {
-        let blind = [
-            vec![(DeviceSet::from([0u32, 1]), true)],
-            vec![
-                (DeviceSet::from([1u32, 2]), true),
-                (DeviceSet::from([2u32, 9]), false),
-            ],
-        ];
-        let aware: Vec<Vec<(DeviceSet, bool, Option<u32>)>> = blind
-            .iter()
-            .map(|g| g.iter().map(|(d, m)| (d.clone(), *m, None)).collect())
-            .collect();
-        assert_eq!(
-            link_event_spans(blind.iter().map(|g| g.iter())),
-            link_component_event_spans(aware.iter().map(|g| g.iter())),
-        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use super::key::DeviceKey;
 use super::monitor::{DetectorFactory, Monitor};
 use anomaly_core::Params;
 use anomaly_detectors::{DeviceDetector, EwmaDetector, VectorDetector};
-use anomaly_qos::{NormKind, QosSpace};
+use anomaly_qos::QosSpace;
 
 /// Maximum representable fleet size: dense device ids are `u32`, so a
 /// population beyond this cannot be indexed without wrapping.
@@ -31,13 +31,11 @@ pub struct MonitorBuilder {
     radius: f64,
     tau: usize,
     services: usize,
-    norm: NormKind,
     factory: Option<DetectorFactory>,
     capacity: usize,
     max_population: u64,
     engine: Engine,
     staleness: StalenessPolicy,
-    epoch_start: Option<u64>,
     history: usize,
     debounce: u64,
     initial: Vec<DeviceKey>,
@@ -49,13 +47,11 @@ impl std::fmt::Debug for MonitorBuilder {
             .field("radius", &self.radius)
             .field("tau", &self.tau)
             .field("services", &self.services)
-            .field("norm", &self.norm)
             .field("custom_factory", &self.factory.is_some())
             .field("capacity", &self.capacity)
             .field("max_population", &self.max_population)
             .field("engine", &self.engine)
             .field("staleness", &self.staleness)
-            .field("epoch_start", &self.epoch_start)
             .field("history", &self.history)
             .field("debounce", &self.debounce)
             .field("initial_devices", &self.initial.len())
@@ -71,19 +67,17 @@ impl Default for MonitorBuilder {
 
 impl MonitorBuilder {
     /// Starts from the paper's operating point: `r = 0.03`, `τ = 3`, one
-    /// service, uniform norm, EWMA detectors, empty fleet.
+    /// service, EWMA detectors, empty fleet.
     pub fn new() -> Self {
         MonitorBuilder {
             radius: 0.03,
             tau: 3,
             services: 1,
-            norm: NormKind::Uniform,
             factory: None,
             capacity: 0,
             max_population: MAX_FLEET,
             engine: Engine::Sequential,
             staleness: StalenessPolicy::Reject,
-            epoch_start: None,
             history: 16,
             debounce: 0,
             initial: Vec::new(),
@@ -119,33 +113,10 @@ impl MonitorBuilder {
     /// How [`Monitor::seal`](Monitor::seal) resolves devices that stayed
     /// silent during an epoch: [`StalenessPolicy::Reject`] (default, the
     /// streaming path is exactly as strict as the batch one),
-    /// [`StalenessPolicy::CarryForward`], or [`StalenessPolicy::Default`].
-    /// A `Default` row is validated at [`MonitorBuilder::build`] against
-    /// the service count and the unit cube.
+    /// or [`StalenessPolicy::CarryForward`].
     pub fn staleness(mut self, policy: StalenessPolicy) -> Self {
         self.staleness = policy;
         self
-    }
-
-    /// Starting epoch number: the first sealed epoch reports
-    /// [`Report::instant`](super::Report::instant)` == start`. Lets a
-    /// monitor resumed from a checkpoint (or aligned with an external
-    /// collection clock) keep a continuous instant sequence. Defaults to
-    /// `0`.
-    ///
-    /// Under [`Monitor::restore`](Monitor::restore) an explicit start must
-    /// equal the checkpoint's instant ([`MonitorError::CheckpointMismatch`]
-    /// otherwise); left unset, the restore adopts the checkpoint's clock.
-    pub fn epoch(mut self, start: u64) -> Self {
-        self.epoch_start = Some(start);
-        self
-    }
-
-    /// The explicitly requested starting epoch, if any — read by
-    /// [`Monitor::restore`](Monitor::restore) to reconcile the builder's
-    /// clock against the checkpoint's.
-    pub(super) fn epoch_start(&self) -> Option<u64> {
-        self.epoch_start
     }
 
     /// Execution strategy for the per-instant characterization:
@@ -189,15 +160,6 @@ impl MonitorBuilder {
     /// `d`). Must be at least 1.
     pub fn services(mut self, d: usize) -> Self {
         self.services = d;
-        self
-    }
-
-    /// Norm used for the per-device displacement magnitudes in reports.
-    /// The characterization itself always uses the uniform norm, as the
-    /// paper's theorems require; on `E = [0,1]^d` all norms are equivalent
-    /// (Section III-B), so this is a presentation choice.
-    pub fn norm(mut self, norm: NormKind) -> Self {
-        self.norm = norm;
         self
     }
 
@@ -257,10 +219,7 @@ impl MonitorBuilder {
     /// * [`MonitorError::FleetTooLarge`] — more initial devices than the
     ///   population bound;
     /// * [`MonitorError::ServiceMismatch`] — the factory produced a
-    ///   detector with the wrong service count, or the staleness default
-    ///   row has the wrong width;
-    /// * [`MonitorError::Qos`] — the staleness default row leaves the unit
-    ///   cube.
+    ///   detector with the wrong service count.
     pub fn build(self) -> Result<Monitor, MonitorError> {
         let params = Params::new(self.radius, self.tau)?;
         if self.services == 0 {
@@ -268,15 +227,6 @@ impl MonitorBuilder {
         }
         let space = QosSpace::new(self.services)?;
         let services = self.services;
-        if let StalenessPolicy::Default(row) = &self.staleness {
-            if row.len() != services {
-                return Err(MonitorError::ServiceMismatch {
-                    expected: services,
-                    actual: row.len(),
-                });
-            }
-            space.point(row.clone())?;
-        }
         let factory = self.factory.unwrap_or_else(|| {
             Box::new(move |_key| {
                 Box::new(VectorDetector::homogeneous(services, || {
@@ -287,14 +237,12 @@ impl MonitorBuilder {
         let mut monitor = Monitor::from_parts(
             params,
             services,
-            self.norm,
             factory,
             space,
             self.capacity,
             self.max_population,
             self.engine,
             self.staleness,
-            self.epoch_start.unwrap_or(0),
             self.history,
             self.debounce,
         );
@@ -408,23 +356,6 @@ mod tests {
 
     #[test]
     fn staleness_default_row_is_validated_at_build() {
-        let err = MonitorBuilder::new()
-            .services(2)
-            .staleness(StalenessPolicy::Default(vec![0.5]))
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            MonitorError::ServiceMismatch {
-                expected: 2,
-                actual: 1,
-            }
-        );
-        let err = MonitorBuilder::new()
-            .staleness(StalenessPolicy::Default(vec![1.5]))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, MonitorError::Qos(_)));
         let m = MonitorBuilder::new()
             .staleness(StalenessPolicy::CarryForward { max_age: 3 })
             .build()
@@ -433,15 +364,6 @@ mod tests {
         // The default policy is the strict one.
         let m = MonitorBuilder::new().build().unwrap();
         assert_eq!(m.staleness(), &StalenessPolicy::Reject);
-    }
-
-    #[test]
-    fn epoch_start_offsets_the_instant_sequence() {
-        let mut m = MonitorBuilder::new().epoch(1000).fleet(2).build().unwrap();
-        assert_eq!(m.instant(), 1000);
-        let r = m.observe_rows(vec![vec![0.9]; 2]).unwrap();
-        assert_eq!(r.instant(), 1000);
-        assert_eq!(m.instant(), 1001);
     }
 
     #[test]

@@ -48,15 +48,6 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// One thread per available core, as reported by the OS (falls back to
-    /// [`Engine::Sequential`] when parallelism cannot be queried).
-    pub fn threaded_auto() -> Self {
-        match std::thread::available_parallelism() {
-            Ok(n) if n.get() > 1 => Engine::Threaded { workers: n.get() },
-            _ => Engine::Sequential,
-        }
-    }
-
     /// Effective shard count for a flagged set of `devices`.
     pub(super) fn shard_count(self, devices: usize) -> usize {
         match self {
@@ -102,13 +93,5 @@ mod tests {
         assert_eq!(Engine::Threaded { workers: 4 }.shard_count(2), 2);
         assert_eq!(Engine::Threaded { workers: 0 }.shard_count(10), 1);
         assert_eq!(Engine::Threaded { workers: 3 }.shard_count(0), 1);
-    }
-
-    #[test]
-    fn threaded_auto_never_reports_zero_workers() {
-        match Engine::threaded_auto() {
-            Engine::Threaded { workers } => assert!(workers > 1),
-            Engine::Sequential => {}
-        }
     }
 }

@@ -34,9 +34,8 @@
 //!   continuing event that has a device in the *same spatial component*
 //!   this epoch, so an outage growing within one dense blob stays one
 //!   event — even when it grows out of a fault first seen as isolated —
-//!   while a spatially unrelated onset opens separately. When no component
-//!   information is available (legacy feeds), the pre-spatial rule
-//!   applies: join the oldest continuing event that is massive this epoch.
+//!   while a spatially unrelated onset opens separately. Every massive
+//!   verdict has a dense motion, so it always carries a component.
 //! * **Class transitions** — the event's class follows its *definite*
 //!   verdicts (massive wins over isolated when both are present).
 //!   Unresolved verdicts and warm-up epochs never transition the class:
@@ -120,10 +119,9 @@ pub struct AnomalyEvent {
     /// Spatial component of the event's active cohort at the most recent
     /// epoch any active device carried one (the smallest such component,
     /// for determinism). `None` for events whose devices were never in a
-    /// dense motion (isolated faults) or on legacy feeds without spatial
-    /// information. Component ids are epoch-local ranks: they identify
-    /// which blob the event belongs to *within one epoch's partition* and
-    /// must not be compared across distant epochs.
+    /// dense motion (isolated faults). Component ids are epoch-local
+    /// ranks: they identify which blob the event belongs to *within one
+    /// epoch's partition* and must not be compared across distant epochs.
     pub component: Option<u32>,
 }
 
@@ -458,24 +456,11 @@ impl EventTracker {
         // fault swept into a network incident transitions and grows in the
         // same epoch; the shared dense motion is what links them). A
         // spatially unrelated concurrent onset matches no continuing
-        // component and opens its own event below. Groups without spatial
-        // information (legacy feeds) fall back to the pre-spatial rule:
-        // the oldest continuing event that is massive this epoch, by
-        // standing class or by its continuing devices' verdicts.
+        // component and opens its own event below.
         massive_groups.retain_mut(|(component, group)| {
-            let open = &self.open;
-            let absorbed = continuing
-                .iter_mut()
-                .find(|(idx, overlap)| match component {
-                    Some(c) => overlap.iter().any(|&key| component_of(key) == Some(*c)),
-                    None => {
-                        open.get(*idx)
-                            .is_some_and(|e| e.class == AnomalyClass::Massive)
-                            || overlap
-                                .iter()
-                                .any(|&key| class_of(key) == Some(AnomalyClass::Massive))
-                    }
-                });
+            let absorbed = continuing.iter_mut().find(|(_, overlap)| {
+                component.is_some_and(|c| overlap.iter().any(|&key| component_of(key) == Some(c)))
+            });
             match absorbed {
                 Some((_, overlap)) => {
                     overlap.append(group);
@@ -787,9 +772,11 @@ mod tests {
         verdicts: &[(u64, AnomalyClass)],
         warming: &[u64],
     ) -> Vec<EventDelta> {
+        // As the monitor would: every massive verdict carries a component.
+        let component = |class| (class == AnomalyClass::Massive).then_some(0);
         let definite = verdicts
             .iter()
-            .map(|&(key, class)| (DeviceKey(key), class, None))
+            .map(|&(key, class)| (DeviceKey(key), class, component(class)))
             .collect();
         let warming: Vec<DeviceKey> = warming.iter().copied().map(DeviceKey).collect();
         tracker.fold(k, definite, &warming)

@@ -24,8 +24,8 @@
 //! Membership churn takes the same path: [`Monitor::join`] and
 //! [`Monitor::leave`] keep every slot-aligned structure in step with the
 //! dense key order. A **newcomer** (joined since the previous seal) has no
-//! row to carry forward, so it must report (or take the `Default` row); its
-//! first row enters the change set like a mover's.
+//! row to carry forward, so it must report; its first row enters the change
+//! set like a mover's.
 //!
 //! ```text
 //!             ingest(key, row)            seal()
@@ -34,7 +34,7 @@
 //!              last write wins)   │ missing devices    │ delta-patch of
 //!                                 ▼                    │ Snapshot_{k-1}
 //!                          StalenessPolicy ────────────┘
-//!                     Reject | CarryForward | Default
+//!                       Reject | CarryForward
 //! ```
 
 use super::error::MonitorError;
@@ -51,19 +51,18 @@ use std::fmt;
 ///
 /// # Detector state of bridged devices
 ///
-/// A device whose row is synthesized by the policy (carried forward or
-/// defaulted) does **not** feed its error-detection function that epoch:
-/// the detector's internal state and its last verdict are *frozen* until
-/// the device reports again. The alternative — re-feeding the synthesized
-/// row — would let the bridging fabricate observations the device never
-/// made: a delta-sensitive detector (e.g.
-/// [`ThresholdDetector`](anomaly_detectors::ThresholdDetector)) would see
-/// a zero jump and *clear* a legitimate alarm simply because the device
-/// went quiet, and an averaging detector would converge on the synthetic
-/// value. Freezing keeps the last evidence-based verdict in force — a
-/// flagged device that falls silent stays in the abnormal set `A_k` until
-/// real data clears it — and makes per-epoch detection cost proportional
-/// to the devices that actually reported. Pinned by
+/// A device whose row is carried forward by the policy does **not** feed
+/// its error-detection function that epoch: the detector's internal state
+/// and its last verdict are *frozen* until the device reports again. The
+/// alternative — re-feeding the carried row — would let the bridging
+/// fabricate observations the device never made: a delta-sensitive
+/// detector (e.g. [`ThresholdDetector`](anomaly_detectors::ThresholdDetector))
+/// would see a zero jump and *clear* a legitimate alarm simply because the
+/// device went quiet, and an averaging detector would converge on the
+/// carried value. Freezing keeps the last evidence-based verdict in force —
+/// a flagged device that falls silent stays in the abnormal set `A_k`
+/// until real data clears it — and makes per-epoch detection cost
+/// proportional to the devices that actually reported. Pinned by
 /// `tests/staleness_policies.rs`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum StalenessPolicy {
@@ -87,10 +86,6 @@ pub enum StalenessPolicy {
         /// bridge a single skipped instant).
         max_age: u64,
     },
-    /// A silent device's row is replaced by this fixed coordinate row
-    /// (validated against the monitor's service count at
-    /// [`build`](super::MonitorBuilder::build)). Never fails.
-    Default(Vec<f64>),
 }
 
 /// Typed failures of the streaming ingestion surface, folded into
@@ -526,11 +521,7 @@ impl Monitor {
     fn resolve_silent(&self, n: usize, fed: &[u32]) -> Result<Stragglers, MonitorError> {
         let first = self.last_snapshot().is_none();
         // Before the first seal there is nothing to carry either.
-        let reject = match &self.staleness {
-            StalenessPolicy::Reject => true,
-            StalenessPolicy::CarryForward { .. } => first,
-            StalenessPolicy::Default(_) => false,
-        };
+        let reject = first || self.staleness == StalenessPolicy::Reject;
         // The carry-forward bound, unless it is provably out of reach.
         let max_age = match &self.staleness {
             StalenessPolicy::CarryForward { max_age } if !self.epoch.none_stale(*max_age) => {
@@ -597,68 +588,37 @@ impl Monitor {
     /// once when no spare exists yet), patches only the rows that actually
     /// changed, and reports the change set.
     ///
-    /// Walks the `fed` slots only — silent rows keep their previous value
-    /// (carry-forward) and cost nothing — except under the `Default`
-    /// policy, where every silent row must be compared against the default
-    /// point too. A newcomer's first row replaces its placeholder: it
-    /// changes like a mover arriving from nowhere. Before the first seal
-    /// every row is new and nothing counts as changed.
+    /// Walks the `fed` slots only: silent rows keep their previous value
+    /// (carry-forward) and cost nothing. A newcomer's first row replaces
+    /// its placeholder: it changes like a mover arriving from nowhere.
+    /// Before the first seal every row is new and nothing counts as
+    /// changed.
     fn assemble(&mut self, fed: Vec<u32>) -> Result<(Snapshot, SealDelta), MonitorError> {
         let n = self.keys().len();
-        let default_point: Option<Point> = match &self.staleness {
-            StalenessPolicy::Default(row) => Some(Point::new_unchecked(row.clone())),
-            _ => None,
-        };
         let first = self.last_snapshot().is_none();
         // The very first seal has no snapshot to patch: the policy left no
         // slot silent, so its rows arrive in slot order.
         let mut rows: Vec<Point> = Vec::with_capacity(if first { n } else { 0 });
         let mut patches: Vec<(DeviceId, Point)> = Vec::new();
         let mut changed: Vec<DeviceId> = Vec::new();
-        let mut stage_row = |this: &Self, slot: usize, p: Point| -> Result<(), MonitorError> {
-            let id = DeviceId(slot as u32);
-            let Some(prev) = this.last_snapshot() else {
-                if slot != rows.len() {
+        for &slot in &fed {
+            let p = self
+                .epoch
+                .take(slot as usize)
+                .ok_or(MonitorError::internal("fed slot has no pending update"))?;
+            let id = DeviceId(slot);
+            let Some(prev) = self.last_snapshot() else {
+                if slot as usize != rows.len() {
                     return Err(MonitorError::internal("a first seal covers every slot"));
                 }
                 rows.push(p);
-                return Ok(());
+                continue;
             };
-            if !this.epoch.is_newcomer(slot) && p == *prev.try_position(id)? {
-                return Ok(());
+            if !self.epoch.is_newcomer(slot as usize) && p == *prev.try_position(id)? {
+                continue;
             }
             changed.push(id);
             patches.push((id, p));
-            Ok(())
-        };
-        match &default_point {
-            None => {
-                // Reject / carry-forward: only fed rows can differ.
-                for &slot in &fed {
-                    let slot = slot as usize;
-                    let p = self
-                        .epoch
-                        .take(slot)
-                        .ok_or(MonitorError::internal("fed slot has no pending update"))?;
-                    stage_row(self, slot, p)?;
-                }
-            }
-            Some(default) => {
-                // Default policy: silent rows become the default point, so
-                // every slot is either a fresh update or a default fill.
-                let mut next_fed = fed.iter().copied().peekable();
-                for slot in 0..n {
-                    let p = if next_fed.peek() == Some(&(slot as u32)) {
-                        next_fed.next();
-                        self.epoch
-                            .take(slot)
-                            .ok_or(MonitorError::internal("fed slot has no pending update"))?
-                    } else {
-                        default.clone()
-                    };
-                    stage_row(self, slot, p)?;
-                }
-            }
         }
         let lag = std::mem::take(&mut self.spare_lag);
         let spare = self.spare.take().filter(|s| s.len() == n);
@@ -831,26 +791,6 @@ mod tests {
                 keys: vec![DeviceKey(7)],
             })
         );
-    }
-
-    #[test]
-    fn default_policy_fills_any_silence() {
-        let mut m = MonitorBuilder::new()
-            .staleness(StalenessPolicy::Default(vec![0.5]))
-            .fleet(2)
-            .build()
-            .unwrap();
-        // Even the very first epoch seals with no updates at all.
-        let r = m.seal().unwrap();
-        assert_eq!(r.stragglers(), &[DeviceKey(0), DeviceKey(1)]);
-        assert_eq!(
-            m.last_snapshot().unwrap().position(DeviceId(0)).coords(),
-            &[0.5]
-        );
-        m.ingest(0u64, vec![0.9]).unwrap();
-        let r = m.seal().unwrap();
-        assert_eq!(r.stragglers(), &[DeviceKey(1)]);
-        assert_eq!(r.summary().stragglers, 1);
     }
 
     #[test]

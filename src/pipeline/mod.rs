@@ -9,9 +9,9 @@
 //!
 //! The surface, in the order a deployment meets it:
 //!
-//! * [`MonitorBuilder`] — parameters, norm, detector factory, capacity and
-//!   population bounds, staleness policy and epoch start; all validation
-//!   at `build()`, no panics.
+//! * [`MonitorBuilder`] — parameters, detector factory, capacity and
+//!   population bounds, staleness policy; all validation at `build()`, no
+//!   panics.
 //! * [`Monitor`] — the streaming front-end [`ingest`](Monitor::ingest) /
 //!   [`ingest_many`](Monitor::ingest_many) / [`seal`](Monitor::seal) per
 //!   epoch, with [`observe`](Monitor::observe) /
@@ -20,8 +20,7 @@
 //!   under stable [`DeviceKey`]s; [`run_trace`](Monitor::run_trace) to
 //!   replay recorded scenarios through the identical engine.
 //! * [`StalenessPolicy`] — what [`seal`](Monitor::seal) does about devices
-//!   that did not report: `Reject`, `CarryForward { max_age }`, or
-//!   `Default(row)`.
+//!   that did not report: `Reject` or `CarryForward { max_age }`.
 //! * [`Report`] — per-class iterators and counts, per-device
 //!   [`DeviceVerdict`]s with displacement and vicinity context, epoch
 //!   metadata ([`Report::stragglers`]), the epoch's event changes

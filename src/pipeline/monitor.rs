@@ -10,7 +10,7 @@ use super::timings::Stopwatch;
 use anomaly_core::Params;
 use anomaly_detectors::{DeviceDetector, StateReader, StateWriter};
 use anomaly_qos::{
-    DeviceId, GridUpdate, Norm, NormKind, Point, QosError, QosSpace, Snapshot, StatePair,
+    uniform_distance, DeviceId, GridUpdate, Point, QosError, QosSpace, Snapshot, StatePair,
 };
 use anomaly_store::{Dec, Enc};
 // conformance: allow(C2, reason = "HashMap backs only the lookup-only key index; it is never iterated, so hash order cannot reach a report")
@@ -91,7 +91,6 @@ pub type DetectorFactory = Box<dyn Fn(DeviceKey) -> Box<dyn DeviceDetector>>;
 pub struct Monitor {
     params: Params,
     services: usize,
-    norm: NormKind,
     factory: DetectorFactory,
     space: QosSpace,
     max_population: u64,
@@ -115,8 +114,8 @@ pub struct Monitor {
     characterizer: Characterizer,
     /// Last detector verdict per dense slot: `(is_anomalous, score)`.
     /// Slot-aligned with `keys`; slots whose detector is not fed this
-    /// epoch (carried or defaulted rows) keep — "freeze" — their last
-    /// verdict, which is what makes detection O(fed) instead of O(n).
+    /// epoch (carried rows) keep — "freeze" — their last verdict, which
+    /// is what makes detection O(fed) instead of O(n).
     flag_state: Vec<(bool, f64)>,
     /// The slots currently flagged (`flag_state[i].0 == true`), maintained
     /// incrementally at every verdict flip so assembling `A_k` is
@@ -176,21 +175,18 @@ impl Monitor {
     pub(super) fn from_parts(
         params: Params,
         services: usize,
-        norm: NormKind,
         factory: DetectorFactory,
         space: QosSpace,
         capacity: usize,
         max_population: u64,
         engine: Engine,
         staleness: StalenessPolicy,
-        epoch_start: u64,
         history: usize,
         debounce: u64,
     ) -> Self {
         Monitor {
             params,
             services,
-            norm,
             factory,
             space,
             max_population,
@@ -202,7 +198,7 @@ impl Monitor {
             characterizer: Characterizer::new(params, services, engine),
             flag_state: Vec::with_capacity(capacity),
             flagged_slots: BTreeSet::new(),
-            instant: epoch_start,
+            instant: 0,
             epoch: EpochState::with_capacity(capacity),
             staleness,
             spare: None,
@@ -242,18 +238,13 @@ impl Monitor {
         self.params
     }
 
-    /// The norm used for report displacement magnitudes.
-    pub fn norm(&self) -> NormKind {
-        self.norm
-    }
-
     /// The fleet-size bound.
     pub fn max_population(&self) -> u64 {
         self.max_population
     }
 
-    /// The next sampling instant (epochs sealed so far, offset by the
-    /// builder's [`epoch`](super::MonitorBuilder::epoch) start).
+    /// The next sampling instant: epochs sealed so far, counting those
+    /// sealed before the checkpoint this monitor was restored from.
     pub fn instant(&self) -> u64 {
         self.instant
     }
@@ -562,8 +553,8 @@ impl Monitor {
     /// sealed snapshot, `spare` ← old previous).
     ///
     /// Detection is O(`delta.fed`), not O(population): a slot whose row
-    /// was carried forward or defaulted keeps its **frozen** detector
-    /// state and last verdict (see the [`StalenessPolicy`] docs for why
+    /// was carried forward keeps its **frozen** detector state and last
+    /// verdict (see the [`StalenessPolicy`] docs for why
     /// freezing, not re-feeding, is the pinned semantics). Flag flips and
     /// the changed rows tell the [`Characterizer`] which cached verdicts
     /// to drop.
@@ -631,7 +622,7 @@ impl Monitor {
                             .ok_or(MonitorError::internal(
                                 "flagged slot out of flag-state range",
                             ))?;
-                    let displacement = self.norm.distance(
+                    let displacement = uniform_distance(
                         pair.before().try_position(row.id)?.coords(),
                         pair.after().try_position(row.id)?.coords(),
                     );

@@ -18,7 +18,7 @@
 //!   decoding any checkpoint.
 //!
 //! Restore is deny-by-default: the header carries every behavioural knob
-//! (`radius`, `tau`, `services`, `norm`, `max_population`, `staleness`,
+//! (`radius`, `tau`, `services`, `max_population`, `staleness`,
 //! `debounce`, `history`), and a builder that disagrees on any of them
 //! fails with [`MonitorError::CheckpointMismatch`] naming the field —
 //! resuming under a different configuration would silently diverge from
@@ -42,7 +42,6 @@ use super::monitor::Monitor;
 use super::report::{Report, ReportSummary};
 use anomaly_core::AnomalyClass;
 use anomaly_detectors::StateError;
-use anomaly_qos::NormKind;
 use anomaly_store::{Dec, DecodeError, Enc, LogReader, LogWriter, RecordKind};
 use std::io::{Read, Write};
 
@@ -83,22 +82,6 @@ fn decode_class(dec: &mut Dec<'_>, field: &'static str) -> Result<AnomalyClass, 
     })
 }
 
-fn norm_code(norm: NormKind) -> u8 {
-    match norm {
-        NormKind::Uniform => 0,
-        NormKind::L1 => 1,
-        NormKind::L2 => 2,
-    }
-}
-
-fn decode_norm(dec: &mut Dec<'_>) -> Result<NormKind, DecodeError> {
-    Ok(match dec.tag("header.norm", 3)? {
-        0 => NormKind::Uniform,
-        1 => NormKind::L1,
-        _ => NormKind::L2,
-    })
-}
-
 fn encode_staleness(enc: &mut Enc, policy: &StalenessPolicy) {
     match policy {
         StalenessPolicy::Reject => enc.u8(0),
@@ -106,20 +89,19 @@ fn encode_staleness(enc: &mut Enc, policy: &StalenessPolicy) {
             enc.u8(1);
             enc.u64(*max_age);
         }
-        StalenessPolicy::Default(row) => {
-            enc.u8(2);
-            enc.f64s(row);
-        }
     }
 }
 
-fn decode_staleness(dec: &mut Dec<'_>) -> Result<StalenessPolicy, DecodeError> {
+/// Decodes the header's staleness policy. Tag 2, a fixed default row for
+/// silent devices, is no longer a policy any monitor can run, so it
+/// decodes to `None` and never matches.
+fn decode_staleness(dec: &mut Dec<'_>) -> Result<Option<StalenessPolicy>, DecodeError> {
     Ok(match dec.tag("header.staleness", 3)? {
-        0 => StalenessPolicy::Reject,
-        1 => StalenessPolicy::CarryForward {
+        0 => Some(StalenessPolicy::Reject),
+        1 => Some(StalenessPolicy::CarryForward {
             max_age: dec.u64("header.staleness")?,
-        },
-        _ => StalenessPolicy::Default(dec.f64s("header.staleness")?),
+        }),
+        _ => None,
     })
 }
 
@@ -235,12 +217,13 @@ pub(super) fn decode_summary(dec: &mut Dec<'_>) -> Result<ReportSummary, DecodeE
     })
 }
 
-/// The configuration header every checkpoint payload opens with.
+/// The configuration header every checkpoint payload opens with. The byte
+/// after `services` names the norm; it is always 0, the uniform norm.
 fn encode_header(enc: &mut Enc, monitor: &Monitor) {
     enc.f64(monitor.params().radius());
     enc.u64(monitor.params().tau() as u64);
     enc.u64(monitor.services() as u64);
-    enc.u8(norm_code(monitor.norm()));
+    enc.u8(0);
     enc.u64(monitor.max_population());
     encode_staleness(enc, monitor.staleness());
     enc.u64(monitor.events().debounce());
@@ -259,7 +242,7 @@ fn verify_header(dec: &mut Dec<'_>, monitor: &Monitor) -> Result<(), MonitorErro
     if dec.u64("header.services")? != monitor.services() as u64 {
         return Err(MonitorError::CheckpointMismatch { field: "services" });
     }
-    if decode_norm(dec)? != monitor.norm() {
+    if dec.u8("header.norm")? != 0 {
         return Err(MonitorError::CheckpointMismatch { field: "norm" });
     }
     if dec.u64("header.max_population")? != monitor.max_population() {
@@ -267,7 +250,7 @@ fn verify_header(dec: &mut Dec<'_>, monitor: &Monitor) -> Result<(), MonitorErro
             field: "max_population",
         });
     }
-    if decode_staleness(dec)? != *monitor.staleness() {
+    if decode_staleness(dec)?.as_ref() != Some(monitor.staleness()) {
         return Err(MonitorError::CheckpointMismatch { field: "staleness" });
     }
     if dec.u64("header.debounce")? != monitor.events().debounce() {
@@ -290,7 +273,6 @@ fn checkpoint_payload(monitor: &Monitor) -> Vec<u8> {
 /// Rebuilds a monitor from one checkpoint payload and the builder that
 /// describes the intended configuration.
 fn restore_from_payload(payload: &[u8], builder: MonitorBuilder) -> Result<Monitor, MonitorError> {
-    let requested_epoch = builder.epoch_start();
     let mut monitor = builder.build()?;
     if monitor.population() != 0 {
         return Err(MonitorError::CheckpointMismatch { field: "devices" });
@@ -299,11 +281,6 @@ fn restore_from_payload(payload: &[u8], builder: MonitorBuilder) -> Result<Monit
     verify_header(&mut dec, &monitor)?;
     monitor.import_state(&mut dec)?;
     dec.finish("checkpoint")?;
-    if let Some(start) = requested_epoch {
-        if start != monitor.instant() {
-            return Err(MonitorError::CheckpointMismatch { field: "epoch" });
-        }
-    }
     Ok(monitor)
 }
 
@@ -349,13 +326,13 @@ impl Monitor {
     ///
     /// The builder must describe the configuration the checkpoint was
     /// written under and must not enroll initial devices (the fleet comes
-    /// from the checkpoint). Leave [`MonitorBuilder::epoch`] unset to
-    /// adopt the checkpoint's clock; an explicit start must equal it.
+    /// from the checkpoint). The restored monitor adopts the checkpoint's
+    /// epoch clock.
     ///
     /// # Errors
     ///
     /// * [`MonitorError::CheckpointMismatch`] — a configuration knob (or a
-    ///   detector parameter, or the builder's `epoch`/initial `devices`)
+    ///   detector parameter, or the builder's initial `devices`)
     ///   disagrees with the checkpoint; the field is named;
     /// * [`MonitorError::Persist`] — I/O failure, corrupt or truncated
     ///   record, missing checkpoint, or a payload that does not decode.

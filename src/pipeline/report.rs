@@ -68,8 +68,8 @@ pub struct DeviceVerdict {
     /// The detector's anomaly score for this instant (comparable across
     /// instants of the same device only).
     pub score: f64,
-    /// Magnitude of the device's QoS motion over `[k−1, k]`, measured with
-    /// the monitor's configured norm.
+    /// Magnitude of the device's QoS motion over `[k−1, k]`, in the
+    /// uniform norm the characterization uses (Section III-B).
     pub displacement: f64,
     /// Devices present at both instants — flagged or not — within `2r` of this
     /// device at both instants: the full-population neighbourhood `N(j)`
@@ -144,11 +144,11 @@ impl Report {
         &self.warming
     }
 
-    /// Devices that missed the sealed epoch and had their row synthesized
-    /// by the configured [`StalenessPolicy`](super::StalenessPolicy)
-    /// (carried forward from the previous snapshot, or filled with the
-    /// default row), in dense-id order. Always empty on the batch
-    /// [`observe`](super::Monitor::observe) path, which supplies every row.
+    /// Devices that missed the sealed epoch and had their row carried
+    /// forward from the previous snapshot by the configured
+    /// [`StalenessPolicy`](super::StalenessPolicy), in dense-id order.
+    /// Always empty on the batch [`observe`](super::Monitor::observe)
+    /// path, which supplies every row.
     ///
     /// The key list is materialized lazily on first access: sealing only
     /// records the silent dense-slot runs, so a consumer that never reads

@@ -20,8 +20,9 @@ use anomaly_characterization::detectors::{ThresholdDetector, VectorDetector};
 use anomaly_characterization::pipeline::{
     read_log, Engine, EventLog, Monitor, MonitorBuilder, MonitorError, Report, StalenessPolicy,
 };
-use anomaly_characterization::qos::{DeviceId, NormKind, Snapshot};
+use anomaly_characterization::qos::{DeviceId, Snapshot};
 use anomaly_characterization::simulator::FleetSpec;
+use anomaly_characterization::store::{Enc, LogReader, LogWriter, RecordKind};
 use anomaly_eval::{
     ChurnEvent, ChurnScenario, FleetScenario, NetworkFaultScenario, Scenario, ScenarioRun,
     ScenarioSpec,
@@ -408,7 +409,6 @@ fn knobbed_builder() -> MonitorBuilder {
         .radius(0.05)
         .tau(3)
         .services(2)
-        .norm(NormKind::L2)
         .max_population(500)
         .staleness(StalenessPolicy::CarryForward { max_age: 4 })
         .debounce(2)
@@ -438,7 +438,6 @@ fn every_mismatched_knob_fails_restore_with_its_field_name() {
     let b = knobbed_builder;
     assert_eq!(mismatch_of(&bytes, b().radius(0.06)), "radius");
     assert_eq!(mismatch_of(&bytes, b().tau(2)), "tau");
-    assert_eq!(mismatch_of(&bytes, b().norm(NormKind::L1)), "norm");
     assert_eq!(
         mismatch_of(&bytes, b().max_population(400)),
         "max_population"
@@ -462,7 +461,6 @@ fn every_mismatched_knob_fails_restore_with_its_field_name() {
         .radius(0.05)
         .tau(3)
         .services(3)
-        .norm(NormKind::L2)
         .max_population(500)
         .staleness(StalenessPolicy::CarryForward { max_age: 4 })
         .debounce(2)
@@ -480,13 +478,51 @@ fn every_mismatched_knob_fails_restore_with_its_field_name() {
         }))
     });
     assert_eq!(mismatch_of(&bytes, wrong_detector), "threshold.max_delta");
-    // An explicit epoch start that disagrees with the checkpoint's clock.
-    assert_eq!(mismatch_of(&bytes, b().epoch(99)), "epoch");
-    // ...while the checkpoint's own clock is accepted explicitly.
-    let at_clock = Monitor::restore(bytes.as_slice(), b().epoch(monitor.instant())).unwrap();
-    assert_eq!(at_clock.instant(), monitor.instant());
     // A builder that enrolls its own devices cannot restore.
     assert_eq!(mismatch_of(&bytes, b().fleet(4)), "devices");
+}
+
+/// Re-frames a checkpoint log with `edit` applied to its checkpoint
+/// payload, so the edited log passes every checksum.
+fn reframed(bytes: &[u8], edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+    let records = LogReader::open(bytes).unwrap().read_to_end().unwrap();
+    let mut writer = LogWriter::create(Vec::new()).unwrap();
+    for mut record in records {
+        if record.kind == RecordKind::Checkpoint {
+            edit(&mut record.payload);
+        }
+        writer.append(record.kind, &record.payload).unwrap();
+    }
+    writer.into_inner().unwrap()
+}
+
+/// Headers written with an option no monitor can be built with any more —
+/// an L1 or L2 display norm, or a default row for silent devices — fail
+/// restore with the option's field name.
+#[test]
+fn retired_header_options_fail_restore_with_their_field_name() {
+    let (_, bytes) = knobbed_monitor();
+    // Header layout: radius f64, tau u64, services u64, then the norm byte
+    // (24), max_population u64, and the staleness tag (33) with the
+    // carry-forward bound (34..42).
+    const NORM: usize = 24;
+    const STALENESS: usize = 33;
+    reframed(&bytes, |payload| {
+        assert_eq!((payload[NORM], payload[STALENESS]), (0, 1));
+    });
+    for norm in [1u8, 2] {
+        let log = reframed(&bytes, |payload| payload[NORM] = norm);
+        assert_eq!(mismatch_of(&log, knobbed_builder()), "norm");
+    }
+    // Staleness tag 2 carried a default row in place of the bound.
+    let log = reframed(&bytes, |payload| {
+        let mut row = Enc::new();
+        row.f64s(&[0.5, 0.5]);
+        let mut header = vec![2u8];
+        header.extend(row.into_bytes());
+        payload.splice(STALENESS..STALENESS + 9, header);
+    });
+    assert_eq!(mismatch_of(&log, knobbed_builder()), "staleness");
 }
 
 #[test]

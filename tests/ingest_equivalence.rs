@@ -118,7 +118,6 @@ proptest! {
         let policies = [
             StalenessPolicy::Reject,
             StalenessPolicy::CarryForward { max_age: 1_000 },
-            StalenessPolicy::Default(vec![0.5]),
         ];
         for policy in &policies {
             let run = |engine: Engine| {

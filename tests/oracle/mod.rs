@@ -13,7 +13,7 @@
 
 use anomaly_characterization::core::{AnalyzerCore, ComponentPartition, TrajectoryTable};
 use anomaly_characterization::pipeline::{DeviceKey, Monitor, Report};
-use anomaly_characterization::qos::{DeviceId, GridIndex, Norm, Snapshot, StatePair};
+use anomaly_characterization::qos::{uniform_distance, DeviceId, GridIndex, Snapshot, StatePair};
 use std::collections::BTreeMap;
 
 /// Follows one monitor from its first seal on; see the module docs.
@@ -126,7 +126,7 @@ fn verify(
         let characterization = analyzer.characterize_full(&table, j);
         let component = partition.component_of(j);
         let vicinity = grid.neighbors_both(&pair, j, window).len();
-        let displacement = monitor.norm().distance(
+        let displacement = uniform_distance(
             pair.before().position(j).coords(),
             pair.after().position(j).coords(),
         );

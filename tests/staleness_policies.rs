@@ -307,46 +307,6 @@ fn carried_rows_freeze_the_detector_and_its_verdict() {
     );
 }
 
-/// `Default` fills freeze detectors too: a silent device whose row is
-/// defaulted far away from its last report stays calm — the synthetic row
-/// is never observed. The very same row reported as real data flags
-/// immediately, proving the detector state stayed at the last *observed*
-/// value through the defaulted epoch.
-#[test]
-fn default_fills_do_not_feed_detectors() {
-    let mut m = MonitorBuilder::new()
-        .staleness(StalenessPolicy::Default(vec![0.5]))
-        .detector_factory(|_| Box::new(ThresholdDetector::with_delta(0.15)))
-        .fleet(4)
-        .build()
-        .unwrap();
-    for _ in 0..2 {
-        m.ingest_many((0..4u64).map(|k| (k, vec![0.9]))).unwrap();
-        assert!(m.seal().unwrap().verdicts().is_empty());
-    }
-    // Devices 2 and 3 go silent: their rows default to 0.5 — a 0.4 jump,
-    // had it been fed. Frozen detectors keep the fleet calm.
-    m.ingest(0u64, vec![0.9]).unwrap();
-    m.ingest(1u64, vec![0.9]).unwrap();
-    let r = m.seal().unwrap();
-    assert_eq!(r.stragglers(), &[DeviceKey(2), DeviceKey(3)]);
-    assert!(
-        r.verdicts().is_empty(),
-        "synthetic default rows must not flag anybody"
-    );
-    // Device 2 now reports 0.5 for real. Its detector last observed 0.9 —
-    // not the defaulted 0.5 — so the 0.4 jump flags it.
-    m.ingest(0u64, vec![0.9]).unwrap();
-    m.ingest(1u64, vec![0.9]).unwrap();
-    m.ingest(2u64, vec![0.5]).unwrap();
-    m.ingest(3u64, vec![0.9]).unwrap();
-    let r = m.seal().unwrap();
-    assert!(
-        r.class_of(DeviceKey(2)).is_some(),
-        "the same row as real data flags: the detector state was frozen at 0.9"
-    );
-}
-
 #[test]
 fn reject_names_every_missing_gateway() {
     let (spec, run) = scenario();
