@@ -1,8 +1,9 @@
 //! Local characterization (Algorithms 3–5; Theorems 5–7; Corollary 8).
 //!
-//! [`AnalyzerCore`] precomputes, for every abnormal device, the family of
-//! maximal r-consistent motions it belongs to (Algorithm 2) and then decides
-//! per device:
+//! [`AnalyzerCore`] precomputes, for every abnormal device, one
+//! [`DevicePrecompute`] record — its maximal τ-dense motions `W̄_k(j)` and
+//! the count of all maximal r-consistent motions it belongs to
+//! (Algorithm 2) — and then decides per device:
 //!
 //! * [`AnalyzerCore::characterize`] — Algorithm 3: Theorem 5 (no dense
 //!   motion ⇒ isolated), Theorem 6 (a dense motion inside `J_k(j)` ⇒
@@ -151,19 +152,21 @@ pub const MAX_BASE_MOTION_FOR_SUBSETS: usize = 16;
 /// reported unresolved instead of stalling the monitoring round.
 pub const DEFAULT_ENUMERATION_BUDGET: u64 = 500_000;
 
-/// The per-device slice of an [`AnalyzerCore`]'s precomputation: `M(j)`,
-/// `W̄_k(j)`, and the enumeration cost, for one device.
+/// One device's record in an [`AnalyzerCore`]: `W̄_k(j)`, the count
+/// `|M(j)|` of all its maximal motions (Table III reads only the count),
+/// the window moves its enumeration spent, and whether that enumeration
+/// overflowed its budget.
 ///
 /// Produced by [`AnalyzerCore::precompute_device`] — a pure function of the
 /// table, the parameters, and one device id, so a pool of workers can
-/// compute the slices of disjoint device shards in parallel (each device's
+/// compute the records of disjoint device shards in parallel (each device's
 /// computation only reads its `2r`-neighbourhood; Definition 1's locality
-/// is what makes this embarrassingly parallel) — and merged back into a
+/// is what makes this embarrassingly parallel) — and merged, as is, into a
 /// full engine by [`AnalyzerCore::from_parts`].
 #[derive(Debug, Clone)]
 pub struct DevicePrecompute {
-    motions: Vec<DeviceSet>,
     dense: Vec<DeviceSet>,
+    maximal_motions: usize,
     window_moves: u64,
     overflowed: bool,
 }
@@ -176,7 +179,7 @@ impl DevicePrecompute {
     }
 
     /// `W̄_k(j)` as precomputed: the maximal τ-dense motions containing the
-    /// device. Callers that cache slices across instants feed these into
+    /// device. Callers that cache records across instants feed these into
     /// [`ComponentPartition::from_dense_sets`] to recover the epoch's
     /// spatial partition without rebuilding an engine.
     pub fn dense(&self) -> &[DeviceSet] {
@@ -202,10 +205,15 @@ impl DevicePrecompute {
 /// they are ranks within one instant's partition and must not be compared
 /// or cached across instants (a component vanishing elsewhere shifts every
 /// later rank).
+///
+/// The partition is one sorted `(device, rank)` list, built by a union-find
+/// over positions in that list, and [`ComponentPartition::component_of`] is
+/// a binary search.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ComponentPartition {
-    /// Device → component rank, for every device in at least one dense set.
-    component: BTreeMap<DeviceId, u32>,
+    /// `(device, component rank)` for every device in at least one dense
+    /// set, ascending by device.
+    component: Vec<(DeviceId, u32)>,
     /// Number of distinct components.
     count: usize,
 }
@@ -215,61 +223,68 @@ impl ComponentPartition {
     /// order. Every member of every set is assigned to a component; the
     /// slices may be freshly computed, cached, or a mixture, exactly as
     /// with [`AnalyzerCore::from_parts`]. Duplicate device entries are
-    /// harmless (their sets just union again).
+    /// harmless (their sets just union again), and so is a device missing
+    /// from its own set (it joins that set's component).
     pub fn from_dense_sets<'a>(
         parts: impl IntoIterator<Item = (DeviceId, &'a [DeviceSet])>,
     ) -> Self {
-        // Union-find over device ids, path-halving on lookup.
-        let mut parent: BTreeMap<DeviceId, DeviceId> = BTreeMap::new();
-        fn find(parent: &mut BTreeMap<DeviceId, DeviceId>, mut x: DeviceId) -> DeviceId {
-            loop {
-                let p = parent[&x];
-                if p == x {
-                    return x;
-                }
-                let gp = parent[&p];
-                parent.insert(x, gp);
-                x = gp;
+        let parts: Vec<(DeviceId, &[DeviceSet])> = parts
+            .into_iter()
+            .filter(|(_, sets)| !sets.is_empty())
+            .collect();
+        // Each distinct set once: a motion sits in the W̄ of every member.
+        let mut sets: Vec<&DeviceSet> = parts.iter().flat_map(|&(_, sets)| sets).collect();
+        sets.sort_unstable();
+        sets.dedup();
+        // Every device named: each one that brings a set, and every member.
+        let mut devices: Vec<DeviceId> = parts.iter().map(|&(j, _)| j).collect();
+        devices.extend(sets.iter().flat_map(|set| set.iter()));
+        devices.sort_unstable();
+        devices.dedup();
+        // Only ever asked for a device named above, so the search hits.
+        let slot = |j: DeviceId| devices.binary_search(&j).unwrap_or(0);
+        // Union-find over positions in `devices`, path-halving on lookup.
+        // Unions root toward the smaller position, so every root is the
+        // smallest device of its tree, whatever the union order.
+        let mut parent: Vec<usize> = (0..devices.len()).collect();
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        }
+        let mut union = |a: DeviceId, b: DeviceId| {
+            let ra = find(&mut parent, slot(a));
+            let rb = find(&mut parent, slot(b));
+            parent[ra.max(rb)] = ra.min(rb);
+        };
+        // j belongs to each of its dense motions by construction, but
+        // linking it to each also places a device absent from its own sets.
+        for &(j, sets) in &parts {
+            for first in sets.iter().filter_map(|set| set.iter().next()) {
+                union(j, first);
             }
         }
-        for (j, sets) in parts {
-            for set in sets {
-                // j belongs to each of its dense motions by construction,
-                // but anchor on the set's own members so slices merged for
-                // a device absent from its set still partition correctly.
-                let mut anchor: Option<DeviceId> = None;
-                for member in set.iter().chain(std::iter::once(j)) {
-                    parent.entry(member).or_insert(member);
-                    match anchor {
-                        None => anchor = Some(member),
-                        Some(a) => {
-                            let ra = find(&mut parent, a);
-                            let rb = find(&mut parent, member);
-                            if ra != rb {
-                                // Root toward the smaller id: keeps the
-                                // forest independent of union order.
-                                let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                                parent.insert(hi, lo);
-                            }
-                        }
-                    }
-                }
+        for set in &sets {
+            for (a, b) in set.iter().zip(set.iter().skip(1)) {
+                union(a, b);
             }
         }
-        // Number components by smallest member id: iterate devices in
-        // ascending order and hand each unseen root the next rank.
-        let devices: Vec<DeviceId> = parent.keys().copied().collect();
-        let mut rank_of_root: BTreeMap<DeviceId, u32> = BTreeMap::new();
-        let mut component = BTreeMap::new();
+        // Number components by smallest member id: walking the devices in
+        // ascending order, each root opens the next rank and every other
+        // device takes its (earlier) root's.
+        let mut component: Vec<(DeviceId, u32)> = Vec::with_capacity(devices.len());
         let mut count = 0u32;
-        for j in devices {
-            let root = find(&mut parent, j);
-            let rank = *rank_of_root.entry(root).or_insert_with(|| {
-                let r = count;
+        for (i, &j) in devices.iter().enumerate() {
+            let root = find(&mut parent, i);
+            let rank = if root == i {
                 count += 1;
-                r
-            });
-            component.insert(j, rank);
+                count - 1
+            } else {
+                component[root].1
+            };
+            component.push((j, rank));
         }
         ComponentPartition {
             component,
@@ -280,7 +295,10 @@ impl ComponentPartition {
     /// The component of `j`, or `None` when `j` is in no dense motion
     /// (every isolated device; massive devices always resolve to `Some`).
     pub fn component_of(&self, j: DeviceId) -> Option<u32> {
-        self.component.get(&j).copied()
+        self.component
+            .binary_search_by_key(&j, |&(device, _)| device)
+            .ok()
+            .map(|i| self.component[i].1)
     }
 
     /// Number of distinct components this epoch.
@@ -295,26 +313,26 @@ impl ComponentPartition {
 
     /// Every (device, component) assignment in ascending device order.
     pub fn iter(&self) -> impl Iterator<Item = (DeviceId, u32)> + '_ {
-        self.component.iter().map(|(&j, &c)| (j, c))
+        self.component.iter().copied()
     }
 }
 
 /// Per-population characterization engine.
 ///
-/// Precomputes `M(j)` and `W̄_k(j)` for every device of a table (each
-/// computation is local to the device's `2r`-neighbourhood), merges the
-/// per-device slices into id-keyed maps and answers per-device queries.
-/// See the crate docs for an end-to-end example.
+/// Precomputes one [`DevicePrecompute`] record — `W̄_k(j)` and the count
+/// `|M(j)|` — for every device of a table (each computation is local to the
+/// device's `2r`-neighbourhood), keeps the records in one id-keyed map and
+/// answers per-device queries. See the crate docs for an end-to-end example.
 ///
-/// The engine owns its maps and holds no borrow of the table, which serves
+/// The engine owns its records and holds no borrow of the table, which serves
 /// two callers beside the one-shot [`AnalyzerCore::new`]:
 ///
 /// * a **persistent worker pool**, which ships one engine to `'static`
 ///   worker threads (`Arc<AnalyzerCore>` beside an `Arc<TrajectoryTable>`);
-/// * an **incremental monitor**, which merges cached slices of unchanged
+/// * an **incremental monitor**, which merges cached records of unchanged
 ///   devices with freshly computed ones —
 ///   [`AnalyzerCore::from_parts`] is indifferent to where each
-///   [`DevicePrecompute`] came from, as long as the slice is valid for the
+///   [`DevicePrecompute`] came from, as long as the record is valid for the
 ///   table it is queried against.
 ///
 /// The queries that read trajectories take the table the parts were
@@ -324,15 +342,11 @@ impl ComponentPartition {
 #[derive(Debug, Clone)]
 pub struct AnalyzerCore {
     params: Params,
-    /// All maximal motions containing each device.
-    motions: BTreeMap<DeviceId, Vec<DeviceSet>>,
-    /// The dense (`> τ`) subset of `motions`.
-    wbar: BTreeMap<DeviceId, Vec<DeviceSet>>,
-    /// Window moves spent per device during precomputation.
-    precompute_moves: BTreeMap<DeviceId, u64>,
-    /// Devices whose motion enumeration exceeded the budget; their verdict
-    /// degrades conservatively to unresolved.
-    overflowed: std::collections::BTreeSet<DeviceId>,
+    /// One record per device of the table.
+    devices: BTreeMap<DeviceId, DevicePrecompute>,
+    /// True when some record overflowed its enumeration budget; while it is
+    /// false, no verdict scans `D_k(j)` for overflowed neighbours.
+    any_overflowed: bool,
 }
 
 impl AnalyzerCore {
@@ -350,8 +364,8 @@ impl AnalyzerCore {
         Self::from_parts(table, params, parts)
     }
 
-    /// The embarrassingly-parallel phase: precomputes one device's slice of
-    /// the engine (`M(j)`, `W̄_k(j)`, enumeration cost).
+    /// The embarrassingly-parallel phase: precomputes one device's record
+    /// (`W̄_k(j)`, `|M(j)|`, enumeration cost).
     ///
     /// Reads only `j`'s `2r`-neighbourhood of `table`, takes no `&mut`
     /// anywhere, and depends on nothing but its arguments — workers may call
@@ -374,33 +388,30 @@ impl AnalyzerCore {
             &mut ops,
             max_window_moves,
         );
-        let (motions, overflowed) = match m {
-            Some(m) => (m, false),
-            None => (Vec::new(), true),
-        };
+        let overflowed = m.is_none();
+        let motions = m.unwrap_or_default();
+        let maximal_motions = motions.len();
         let dense: Vec<DeviceSet> = motions
-            .iter()
+            .into_iter()
             .filter(|s| params.is_dense(s.len()))
-            .cloned()
             .collect();
         DevicePrecompute {
-            motions,
             dense,
+            maximal_motions,
             window_moves: ops.window_moves,
             overflowed,
         }
     }
 
-    /// The merge phase: assembles an engine from per-device slices, in any
+    /// The merge phase: assembles an engine from per-device records, in any
     /// order.
     ///
-    /// The slices may come from anywhere — a sequential loop, parallel
+    /// The records may come from anywhere — a sequential loop, parallel
     /// shard workers, or a cache of previous instants' parts for devices
     /// whose `2r`-neighbourhood did not change — as long as together they
     /// cover exactly the devices of `table`. The merge result is
-    /// independent of part order and provenance: the maps are keyed by
-    /// device id and the overflow set is ordered, so the result is identical
-    /// to [`AnalyzerCore::new`].
+    /// independent of part order and provenance: the map is keyed by
+    /// device id, so the result is identical to [`AnalyzerCore::new`].
     ///
     /// # Panics
     ///
@@ -411,39 +422,34 @@ impl AnalyzerCore {
         params: Params,
         parts: impl IntoIterator<Item = (DeviceId, DevicePrecompute)>,
     ) -> Self {
-        let mut motions = BTreeMap::new();
-        let mut wbar = BTreeMap::new();
-        let mut precompute_moves = BTreeMap::new();
-        let mut overflowed = std::collections::BTreeSet::new();
+        let mut devices = BTreeMap::new();
+        let mut any_overflowed = false;
         for (j, part) in parts {
             assert!(table.contains(j), "part for unknown device {j:?}");
-            if part.overflowed {
-                overflowed.insert(j);
-            }
-            precompute_moves.insert(j, part.window_moves);
+            any_overflowed |= part.overflowed;
             assert!(
-                motions.insert(j, part.motions).is_none(),
+                devices.insert(j, part).is_none(),
                 "duplicate part for device {j:?}"
             );
-            wbar.insert(j, part.dense);
         }
         assert_eq!(
-            motions.len(),
+            devices.len(),
             table.len(),
             "parts must cover every device of the table exactly once"
         );
         AnalyzerCore {
             params,
-            motions,
-            wbar,
-            precompute_moves,
-            overflowed,
+            devices,
+            any_overflowed,
         }
     }
 
     /// Devices whose enumeration overflowed (conservatively unresolved).
     pub fn overflowed_devices(&self) -> impl Iterator<Item = DeviceId> + '_ {
-        self.overflowed.iter().copied()
+        self.devices
+            .iter()
+            .filter(|(_, part)| part.overflowed)
+            .map(|(&j, _)| j)
     }
 
     /// The parameters in force.
@@ -457,7 +463,7 @@ impl AnalyzerCore {
     ///
     /// Panics if no part was merged for `j`.
     pub fn wbar_of(&self, j: DeviceId) -> &[DeviceSet] {
-        &self.wbar[&j]
+        &self.devices[&j].dense
     }
 
     /// The Section V families of `j`.
@@ -466,8 +472,11 @@ impl AnalyzerCore {
     ///
     /// Panics if no part was merged for `j`.
     pub fn families_of(&self, j: DeviceId) -> Families {
-        Families::build(j, &self.wbar[&j], |id| {
-            self.wbar.get(&id).map(|v| v.as_slice()).unwrap_or(&[])
+        Families::build(j, self.wbar_of(j), |id| {
+            self.devices
+                .get(&id)
+                .map(DevicePrecompute::dense)
+                .unwrap_or(&[])
         })
     }
 
@@ -485,28 +494,33 @@ impl AnalyzerCore {
     /// unresolved with complete motion families — comes back with those
     /// families, for the Theorem 7 search; every other verdict is final.
     fn fast_path(&self, j: DeviceId) -> (Characterization, Option<Families>) {
+        let part = &self.devices[&j];
         let cost = Cost {
-            maximal_motions: self.motions[&j].len(),
-            dense_motions: self.wbar[&j].len(),
+            maximal_motions: part.maximal_motions,
+            dense_motions: part.dense.len(),
             collections_tested: 0,
-            window_moves: self.precompute_moves[&j],
+            window_moves: part.window_moves,
         };
         let verdict = |class, rule| Characterization { class, rule, cost };
         // Enumeration overflow: the neighbourhood was too pathological to
         // analyze within budget — conservatively unresolved.
-        if self.overflowed.contains(&j) {
+        if part.overflowed {
             return (verdict(AnomalyClass::Unresolved, Rule::Algorithm3), None);
         }
         // Theorem 5: no dense motion at all.
-        if self.wbar[&j].is_empty() {
+        if part.dense.is_empty() {
             return (verdict(AnomalyClass::Isolated, Rule::Theorem5), None);
         }
         let families = self.families_of(j);
         // If any neighbour consulted by the families overflowed its own
         // enumeration, its escape motions are unknown — degrade to
         // unresolved rather than decide from incomplete data.
-        if !self.overflowed.is_empty()
-            && families.d_set.iter().any(|m| self.overflowed.contains(&m))
+        if self.any_overflowed
+            && families.d_set.iter().any(|m| {
+                self.devices
+                    .get(&m)
+                    .is_some_and(DevicePrecompute::overflowed)
+            })
         {
             return (verdict(AnomalyClass::Unresolved, Rule::Algorithm3), None);
         }
@@ -514,7 +528,8 @@ impl AnalyzerCore {
         // intersection with J_k(j) is itself dense. (That intersection is a
         // motion — subset of one — and contains j.)
         let tau = self.params.tau();
-        if self.wbar[&j]
+        if part
+            .dense
             .iter()
             .any(|m| m.intersection_len(&families.j_set) > tau)
         {
@@ -605,7 +620,7 @@ impl AnalyzerCore {
         // devices, avoiding j.
         let mut bases: Vec<DeviceSet> = Vec::new();
         for member in &families.l_set {
-            for motion in &self.wbar[&member] {
+            for motion in self.wbar_of(member) {
                 if !motion.contains(j) && !bases.contains(motion) {
                     bases.push(motion.clone());
                 }
@@ -648,8 +663,8 @@ impl AnalyzerCore {
         let pool: Vec<DeviceSet> = pool.into_iter().collect();
         let mut tested = 0u64;
         let mut chosen: Vec<usize> = Vec::new();
-        let outcome =
-            self.search_collections(table, j, families, &pool, 0, &mut chosen, &mut tested);
+        let wbar = self.wbar_of(j);
+        let outcome = self.search_collections(table, j, wbar, &pool, 0, &mut chosen, &mut tested);
         // Budget/size overflow means the violation search was incomplete:
         // conservatively not provably massive.
         let massive = outcome == SearchOutcome::Exhausted && !overflow;
@@ -662,7 +677,7 @@ impl AnalyzerCore {
         &self,
         table: &TrajectoryTable,
         j: DeviceId,
-        families: &Families,
+        wbar: &[DeviceSet],
         pool: &[DeviceSet],
         start: usize,
         chosen: &mut Vec<usize>,
@@ -672,13 +687,13 @@ impl AnalyzerCore {
         if *tested > DEFAULT_COLLECTION_BUDGET {
             return SearchOutcome::BudgetSpent;
         }
-        if self.collection_violates(table, j, families, pool, chosen) {
+        if self.collection_violates(table, j, wbar, pool, chosen) {
             return SearchOutcome::Violated;
         }
         for i in start..pool.len() {
             if chosen.iter().all(|&c| pool[c].is_disjoint(&pool[i])) {
                 chosen.push(i);
-                let sub = self.search_collections(table, j, families, pool, i + 1, chosen, tested);
+                let sub = self.search_collections(table, j, wbar, pool, i + 1, chosen, tested);
                 chosen.pop();
                 if sub != SearchOutcome::Exhausted {
                     return sub;
@@ -688,12 +703,13 @@ impl AnalyzerCore {
         SearchOutcome::Exhausted
     }
 
-    /// True when the collection satisfies **neither** relation (4) nor (5).
+    /// True when the collection satisfies **neither** relation (4) nor (5);
+    /// `wbar` is `W̄_k(j)`.
     fn collection_violates(
         &self,
         table: &TrajectoryTable,
         j: DeviceId,
-        families: &Families,
+        wbar: &[DeviceSet],
         pool: &[DeviceSet],
         chosen: &[usize],
     ) -> bool {
@@ -707,7 +723,7 @@ impl AnalyzerCore {
         }
         // Relation (4): some maximal dense motion of j survives the removal
         // of the chosen sets with more than τ members.
-        for m in &families.dense {
+        for m in wbar {
             let mut survivors = m.len();
             for &c in chosen {
                 survivors -= m.intersection_len(&pool[c]);
@@ -999,6 +1015,126 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.count(), 0);
         assert_eq!(p.component_of(DeviceId(0)), None);
+    }
+
+    #[test]
+    fn two_entries_for_one_device_union_both_sets() {
+        let (a, b) = (
+            [DeviceSet::from([1, 2, 3, 4])],
+            [DeviceSet::from([4, 5, 6, 7])],
+        );
+        let p = ComponentPartition::from_dense_sets([
+            (DeviceId(4), &a[..]),
+            (DeviceId(9), &[][..]),
+            (DeviceId(4), &b[..]),
+        ]);
+        assert_eq!(p.count(), 1);
+        assert_eq!(p.iter().count(), 7);
+        for id in 1..=7 {
+            assert_eq!(p.component_of(DeviceId(id)), Some(0), "device {id}");
+        }
+        // A device that brings no set has no component.
+        assert_eq!(p.component_of(DeviceId(9)), None);
+    }
+
+    #[test]
+    fn a_device_missing_from_its_own_set_joins_that_sets_component() {
+        let sets = [DeviceSet::from([1, 2, 3, 4])];
+        let p = ComponentPartition::from_dense_sets([(DeviceId(8), &sets[..])]);
+        assert_eq!(p.count(), 1);
+        for id in [1, 2, 3, 4, 8] {
+            assert_eq!(p.component_of(DeviceId(id)), Some(0), "device {id}");
+        }
+        // An empty set still places its device, alone.
+        let p = ComponentPartition::from_dense_sets([(DeviceId(8), &[DeviceSet::new()][..])]);
+        assert_eq!(p.iter().collect::<Vec<_>>(), vec![(DeviceId(8), 0)]);
+    }
+
+    #[test]
+    fn components_rank_by_smallest_member_whatever_the_part_order() {
+        let sets = [
+            (30, DeviceSet::from([30, 31, 32, 33])),
+            (20, DeviceSet::from([20, 21, 22, 23, 5])),
+            (10, DeviceSet::from([10, 11, 12, 13])),
+        ];
+        // Parts in descending device order; the second set's smallest
+        // member, 5, comes before every other device.
+        let p = ComponentPartition::from_dense_sets(
+            sets.iter()
+                .map(|(j, set)| (DeviceId(*j), std::slice::from_ref(set))),
+        );
+        assert_eq!(p.count(), 3);
+        assert_eq!(p.component_of(DeviceId(5)), Some(0));
+        assert_eq!(p.component_of(DeviceId(20)), Some(0));
+        assert_eq!(p.component_of(DeviceId(10)), Some(1));
+        assert_eq!(p.component_of(DeviceId(33)), Some(2));
+        let ids: Vec<u32> = p.iter().map(|(j, _)| j.0).collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The union-find partition equals a naive one: merge every part's
+        /// device and members into one group, join groups that share a
+        /// device until none do, and rank groups by smallest member.
+        #[test]
+        fn partition_matches_a_naive_merge(
+            raw in proptest::collection::vec(
+                (0u32..24, proptest::collection::vec(
+                    proptest::collection::vec(0u32..24, 0..5), 0..3)),
+                0..10),
+        ) {
+            let parts: Vec<(DeviceId, Vec<DeviceSet>)> = raw
+                .into_iter()
+                .map(|(j, sets)| {
+                    (DeviceId(j), sets.into_iter().map(|m| m.into_iter().map(DeviceId).collect()).collect())
+                })
+                .collect();
+            let mut groups: Vec<DeviceSet> = Vec::new();
+            for (j, sets) in &parts {
+                if sets.is_empty() {
+                    continue;
+                }
+                let mut group = DeviceSet::from([j.0]);
+                for set in sets {
+                    group.extend(set.iter());
+                }
+                groups.push(group);
+            }
+            let mut merged = true;
+            while merged {
+                merged = false;
+                'pairs: for a in 0..groups.len() {
+                    for b in a + 1..groups.len() {
+                        if !groups[a].is_disjoint(&groups[b]) {
+                            let other = groups.remove(b);
+                            groups[a].extend(other.iter());
+                            merged = true;
+                            break 'pairs;
+                        }
+                    }
+                }
+            }
+            groups.sort_by_key(|g| g.iter().next());
+            let p = ComponentPartition::from_dense_sets(
+                parts.iter().map(|(j, sets)| (*j, sets.as_slice())),
+            );
+            proptest::prop_assert_eq!(p.count(), groups.len());
+            let mut want: Vec<(DeviceId, u32)> = Vec::new();
+            for (rank, group) in groups.iter().enumerate() {
+                want.extend(group.iter().map(|j| (j, rank as u32)));
+            }
+            want.sort_unstable();
+            proptest::prop_assert_eq!(p.iter().collect::<Vec<_>>(), want);
+            for id in 0..24 {
+                let rank = groups.iter().position(|g| g.contains(DeviceId(id)));
+                proptest::prop_assert_eq!(
+                    p.component_of(DeviceId(id)),
+                    rank.map(|r| r as u32)
+                );
+            }
+        }
     }
 
     #[test]

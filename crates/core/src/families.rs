@@ -15,11 +15,12 @@
 use crate::set::DeviceSet;
 use anomaly_qos::DeviceId;
 
-/// The families of Section V for one device `j`.
+/// The families of Section V for one device `j`, derived from `W̄_k(j)`
+/// (the maximal τ-dense motions containing `j`), which they do not copy:
+/// the Theorem 7 search reads it from the device's
+/// [`DevicePrecompute`](crate::DevicePrecompute) record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Families {
-    /// `W̄_k(j)`: maximal τ-dense motions containing `j`.
-    pub dense: Vec<DeviceSet>,
     /// `D_k(j) = ∪ W̄_k(j)`: devices sharing a dense motion with `j`.
     pub d_set: DeviceSet,
     /// `J_k(j)`: members of `D_k(j)` whose every maximal dense motion
@@ -41,9 +42,8 @@ impl Families {
         wbar_j: &[DeviceSet],
         mut dense_of: impl FnMut(DeviceId) -> &'a [DeviceSet],
     ) -> Families {
-        let dense: Vec<DeviceSet> = wbar_j.to_vec();
         let mut d_set = DeviceSet::new();
-        for motion in &dense {
+        for motion in wbar_j {
             d_set.extend(motion.iter());
         }
         let mut j_set = DeviceSet::new();
@@ -62,16 +62,16 @@ impl Families {
             }
         }
         Families {
-            dense,
             d_set,
             j_set,
             l_set,
         }
     }
 
-    /// True when `j` has no dense motion at all (Theorem 5 ⇒ isolated).
+    /// True when `j` has no dense motion at all (Theorem 5 ⇒ isolated):
+    /// every dense motion is non-empty, so `D_k(j)` is empty exactly then.
     pub fn is_isolated(&self) -> bool {
-        self.dense.is_empty()
+        self.d_set.is_empty()
     }
 }
 

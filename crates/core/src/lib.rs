@@ -18,13 +18,15 @@
 //! | r-consistent set / motion (Defs. 1–3) | [`motion`] predicates on a [`TrajectoryTable`] |
 //! | Algorithm 2 (`maxMotions`) | [`maximal_motions`] / [`maximal_motions_involving`] |
 //! | Anomaly partition, Algorithm 1 (Lemma 2) | [`partition::build_partition`], [`partition::AnomalyPartition`] |
-//! | Families `W̄_k(j)`, `D_k(j)`, `J_k(j)`, `L_k(j)` | [`families::Families`] |
+//! | `W̄_k(j)` and the size of `M(j)` per device (Table III, cols. 1–2) | [`DevicePrecompute`], one record per device from [`AnalyzerCore::precompute_device`] |
+//! | Families `D_k(j)`, `J_k(j)`, `L_k(j)` | [`families::Families`], built from `W̄_k(j)` |
 //! | Theorem 5 (NSC for `I_k`) | [`AnalyzerCore::characterize`] fast path |
 //! | Theorem 6 (sufficient for `M_k`), Algorithm 3 | [`AnalyzerCore::characterize`] |
 //! | Theorem 7 (NSC for `M_k`), Algorithms 4–5 | [`AnalyzerCore::characterize_full`] |
 //! | Corollary 8 (NSC for `U_k`) | [`AnalyzerCore::characterize_full`] |
 //! | Connected components of dense motions (spatial identity) | [`ComponentPartition::from_dense_sets`] over the `W̄_k(j)` |
 //! | Omniscient observer, Relations (2)–(3) | [`observer::brute_force_classes`] |
+//! | Section V locality: the `4r` ball suffices | property test `four_r_knowledge_suffices` in the umbrella crate's `tests/property_equivalence.rs` |
 //!
 //! # Example
 //!
@@ -66,14 +68,12 @@
 
 mod characterize;
 pub mod families;
-pub mod local;
 mod maximal;
 pub mod motion;
 pub mod observer;
 mod params;
 pub mod partition;
 mod set;
-mod shard;
 mod table;
 
 #[cfg(test)]
@@ -84,7 +84,6 @@ pub use characterize::{
     DEFAULT_COLLECTION_BUDGET, DEFAULT_ENUMERATION_BUDGET,
 };
 pub use families::Families;
-pub use local::LocalContext;
 pub use maximal::{
     maximal_motions, maximal_motions_bounded, maximal_motions_brute, maximal_motions_involving,
     maximal_motions_involving_bounded, MotionOps,
@@ -92,5 +91,4 @@ pub use maximal::{
 pub use params::{Params, ParamsError};
 pub use partition::{build_partition, AnomalyPartition, PartitionError};
 pub use set::DeviceSet;
-pub use shard::ShardPlan;
 pub use table::{TableError, TrajectoryTable};

@@ -7,8 +7,7 @@ use super::error::MonitorError;
 use super::monitor::{out_of_step, SealDelta};
 use super::pool::{run_phase, Job, WorkerPool};
 use anomaly_core::{
-    AnalyzerCore, Characterization, ComponentPartition, DevicePrecompute, Params, ShardPlan,
-    TrajectoryTable,
+    AnalyzerCore, Characterization, ComponentPartition, DevicePrecompute, Params, TrajectoryTable,
 };
 use anomaly_qos::{DeviceId, GridIndex, GridUpdate, Point, StatePair};
 use std::collections::{BTreeMap, BTreeSet};
@@ -295,21 +294,7 @@ impl Characterizer {
     ) -> Result<StatePair, MonitorError> {
         let window = self.params.window();
         let table = Arc::new(TrajectoryTable::from_state_pair(&pair, abnormal));
-        // Shards come from the grid-locality-aware plan over the whole
-        // abnormal set, restricted to the fresh devices.
-        let shard_count = self.engine.shard_count(fresh.len());
-        let shards: Vec<Vec<DeviceId>> = if shard_count <= 1 {
-            vec![fresh]
-        } else {
-            let fresh: BTreeSet<DeviceId> = fresh.into_iter().collect();
-            let plan = ShardPlan::build(&table, window, shard_count);
-            let mut shards = plan.shards().to_vec();
-            for shard in &mut shards {
-                shard.retain(|j| fresh.contains(j));
-            }
-            shards.retain(|shard| !shard.is_empty());
-            shards
-        };
+        let shards = self.shards(&pair, fresh)?;
         let jobs: Vec<Job> = shards
             .iter()
             .map(|shard| Job::Precompute {
@@ -365,6 +350,30 @@ impl Characterizer {
         Ok(Arc::try_unwrap(pair).unwrap_or_else(|arc| (*arc).clone()))
     }
 
+    /// Splits the `fresh` devices into the engine's shard count of
+    /// contiguous runs whose sizes differ by at most one, after ordering
+    /// them by the grid cell of their `k−1` position (ties by id): devices
+    /// of one shard share neighbourhoods, so each worker reads cache-warm,
+    /// overlapping slices of the table.
+    fn shards(
+        &self,
+        pair: &StatePair,
+        fresh: Vec<DeviceId>,
+    ) -> Result<Vec<Vec<DeviceId>>, MonitorError> {
+        let count = self.engine.shard_count(fresh.len());
+        let mut ordered: Vec<(usize, DeviceId)> = Vec::with_capacity(fresh.len());
+        for j in fresh {
+            let before = pair.before().try_position(j)?;
+            ordered.push((self.grid.cell_index(before.coords()), j));
+        }
+        ordered.sort_unstable();
+        let (base, extra) = (ordered.len() / count, ordered.len() % count);
+        let mut runs = ordered.into_iter().map(|(_, j)| j);
+        Ok((0..count)
+            .map(|s| runs.by_ref().take(base + usize::from(s < extra)).collect())
+            .collect())
+    }
+
     /// Dense ids with a cached verdict, ascending.
     #[cfg(test)]
     pub(super) fn cached(&self) -> impl Iterator<Item = u32> + '_ {
@@ -375,4 +384,123 @@ impl Characterizer {
 /// Grid cell side: the `2r` query window, kept positive.
 fn cell_side(params: &Params) -> f64 {
     params.window().max(1e-6)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use anomaly_qos::{QosSpace, Snapshot};
+
+    /// A 1-D interval in which every device stays where it was.
+    fn still(xs: &[f64]) -> StatePair {
+        let space = QosSpace::new(1).unwrap();
+        let rows = || xs.iter().map(|&x| vec![x]).collect::<Vec<_>>();
+        let snapshot = || Snapshot::from_rows(&space, rows()).unwrap();
+        StatePair::new(snapshot(), snapshot()).unwrap()
+    }
+
+    /// A threaded characterizer with its grid built over `pair`.
+    fn characterizer(workers: usize, pair: &StatePair) -> Characterizer {
+        let params = Params::new(0.01, 3).unwrap();
+        let mut ch = Characterizer::new(params, 1, Engine::Threaded { workers });
+        ch.update_grid(pair, &BTreeSet::new()).unwrap();
+        ch
+    }
+
+    fn ids(n: u32) -> Vec<DeviceId> {
+        (0..n).map(DeviceId).collect()
+    }
+
+    #[test]
+    fn a_fresh_cluster_beside_cached_verdicts_fills_every_worker() {
+        // Sixteen devices spread over [0, 0.6], and a cluster of four at
+        // 0.9 that is the last run of cells.
+        let mut xs: Vec<f64> = (0..16).map(|i| 0.04 * f64::from(i)).collect();
+        xs.extend([0.900, 0.901, 0.902, 0.903]);
+        let pair = still(&xs);
+        let abnormal = ids(20);
+        let mut ch = characterizer(2, &pair);
+        let delta = SealDelta {
+            fed: Vec::new(),
+            changed: Vec::new(),
+            newcomers: BTreeSet::new(),
+        };
+        let (pair, rows) = ch.seal(pair, &delta, &[], &abnormal).unwrap();
+        assert_eq!(rows.len(), 20);
+        // Something changed at the cluster: its verdicts, and only those,
+        // leave the cache.
+        let cluster_cell = ch.grid.cell_index(&[0.9]);
+        ch.dirty_pending.insert(cluster_cell);
+        ch.drop_dirty_entries();
+        let fresh: Vec<DeviceId> = abnormal
+            .iter()
+            .copied()
+            .filter(|j| !ch.char_cache.contains_key(&j.0))
+            .collect();
+        assert_eq!(
+            fresh,
+            vec![DeviceId(16), DeviceId(17), DeviceId(18), DeviceId(19)]
+        );
+        let shards = ch.shards(&pair, fresh).unwrap();
+        assert_eq!(shards.len(), 2, "{shards:?}");
+        assert!(shards.iter().all(|s| s.len() == 2), "{shards:?}");
+        // The re-characterized epoch serves the same rows.
+        let (_, again) = ch.seal(pair, &delta, &[], &abnormal).unwrap();
+        let key = |r: &Row| (r.id, r.characterization, r.vicinity, r.component);
+        assert_eq!(
+            rows.iter().map(key).collect::<Vec<_>>(),
+            again.iter().map(key).collect::<Vec<_>>()
+        );
+    }
+
+    /// Twenty-three devices spread over the unit interval.
+    fn scattered() -> StatePair {
+        let xs: Vec<f64> = (0..23).map(|i| (f64::from(i) * 0.37) % 1.0).collect();
+        still(&xs)
+    }
+
+    #[test]
+    fn covers_every_device_exactly_once() {
+        let pair = scattered();
+        for workers in [0, 1, 2, 3, 7, 50] {
+            let shards = characterizer(workers, &pair).shards(&pair, ids(23)).unwrap();
+            assert_eq!(shards.len(), workers.clamp(1, 23), "workers={workers}");
+            let mut seen: Vec<DeviceId> = shards.into_iter().flatten().collect();
+            seen.sort_unstable();
+            assert_eq!(seen, ids(23), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn shard_sizes_differ_by_at_most_one() {
+        let pair = scattered();
+        for workers in [2, 3, 5, 7] {
+            let shards = characterizer(workers, &pair).shards(&pair, ids(23)).unwrap();
+            let sizes: Vec<usize> = shards.iter().map(Vec::len).collect();
+            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+            assert!(*min >= 1 && max - min <= 1, "{sizes:?}");
+        }
+    }
+
+    #[test]
+    fn more_shards_than_devices_yields_singletons() {
+        let pair = still(&[0.2, 0.5, 0.8]);
+        let shards = characterizer(16, &pair).shards(&pair, ids(3)).unwrap();
+        assert_eq!(shards.len(), 3);
+        assert!(shards.iter().all(|s| s.len() == 1), "{shards:?}");
+    }
+
+    #[test]
+    fn colocated_devices_stay_together() {
+        // Two tight clusters far apart: two shards must not split either.
+        let pair = still(&[0.80, 0.10, 0.81, 0.11]);
+        let shards = characterizer(2, &pair).shards(&pair, ids(4)).unwrap();
+        assert_eq!(
+            shards,
+            vec![
+                vec![DeviceId(1), DeviceId(3)],
+                vec![DeviceId(0), DeviceId(2)]
+            ]
+        );
+    }
 }

@@ -33,14 +33,16 @@ pub enum Engine {
     /// dependencies). The pool is spawned lazily on the first epoch that
     /// needs it and its threads stay parked between epochs, so the
     /// per-seal cost is two channel round-trips per shard rather than two
-    /// `thread::scope` spawn/join rounds. Shards are grid-locality aware
-    /// ([`anomaly_core::ShardPlan`]): each worker gets a balanced,
-    /// spatially-coherent slice of the flagged set.
+    /// `thread::scope` spawn/join rounds. Only the devices the verdict
+    /// cache misses are characterized, and those are what gets sharded:
+    /// ordered by the vicinity grid cell of their previous position (ties
+    /// by id) and cut into contiguous runs whose sizes differ by at most
+    /// one, so each worker gets a balanced, spatially-coherent slice.
     ///
     /// `workers == 0` and `workers == 1` behave like [`Engine::Sequential`]
     /// (no threads are spawned), the worker count is capped at the number
     /// of devices to characterize, and a phase that ends up with a single
-    /// shard runs inline too.
+    /// shard — one cache miss, say — runs inline too.
     Threaded {
         /// Upper bound on concurrent worker threads.
         workers: usize,
@@ -48,7 +50,7 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Effective shard count for a flagged set of `devices`.
+    /// Effective shard count for `devices` devices to characterize.
     pub(super) fn shard_count(self, devices: usize) -> usize {
         match self {
             Engine::Sequential => 1,

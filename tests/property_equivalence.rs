@@ -7,9 +7,13 @@
 //! Populations stay at `n ≤ 12` because the observer's partition count
 //! grows with the Bell numbers; the vendored proptest shim is seeded per
 //! test, so a passing run is reproducible everywhere.
+//!
+//! The file also checks Section V's locality claim, on which the monitor's
+//! cache invalidation radius rests: a device decides from the devices
+//! within motion distance `4r` of it exactly as from the whole state.
 
 use anomaly_characterization::core::observer::brute_force_classes;
-use anomaly_characterization::core::{Params, TrajectoryTable};
+use anomaly_characterization::core::{AnalyzerCore, AnomalyClass, Params, TrajectoryTable};
 use anomaly_characterization::detectors::{DeviceDetector, Verdict};
 use anomaly_characterization::pipeline::{Engine, MonitorBuilder};
 use anomaly_characterization::qos::{DeviceId, QosSpace, Snapshot, StatePair};
@@ -133,5 +137,96 @@ proptest! {
         };
         check_engine_against_observer(
             Engine::Threaded { workers: 3 }, &cut(&raw_before), &cut(&raw_after), radius, tau);
+    }
+}
+
+/// A 1-D interval: each row is a device's `(before, after)` coordinate.
+fn pair_from(rows: &[(f64, f64)]) -> StatePair {
+    let space = QosSpace::new(1).unwrap();
+    let before = Snapshot::from_rows(&space, rows.iter().map(|r| vec![r.0]).collect()).unwrap();
+    let after = Snapshot::from_rows(&space, rows.iter().map(|r| vec![r.1]).collect()).unwrap();
+    StatePair::new(before, after).unwrap()
+}
+
+/// `j`'s exact verdict computed from its `4r` ball alone: the flagged
+/// devices within motion distance `4r` of it — what a device would learn
+/// from one gossip round with its QoS neighbours.
+fn local_class(
+    pair: &StatePair,
+    abnormal: &[DeviceId],
+    j: DeviceId,
+    params: Params,
+) -> AnomalyClass {
+    let reach = 2.0 * params.window(); // 4r
+    let ball: Vec<DeviceId> = abnormal
+        .iter()
+        .copied()
+        .filter(|&o| o == j || pair.pairwise_motion_distance(j, o) <= reach)
+        .collect();
+    let table = TrajectoryTable::from_state_pair(pair, &ball);
+    AnalyzerCore::new(&table, params)
+        .characterize_full(&table, j)
+        .class()
+}
+
+/// The ACP configuration of Figure 3, decided device by device from `4r`
+/// views: the edge devices are unresolved, the middle three massive.
+#[test]
+fn figure_3_verdicts_from_local_views() {
+    let pair = pair_from(&[
+        (0.10, 0.10),
+        (0.14, 0.14),
+        (0.16, 0.16),
+        (0.18, 0.18),
+        (0.22, 0.22),
+    ]);
+    let abnormal: Vec<DeviceId> = (0..5).map(DeviceId).collect();
+    let params = Params::new(0.05, 3).unwrap();
+    let expect = [
+        AnomalyClass::Unresolved,
+        AnomalyClass::Massive,
+        AnomalyClass::Massive,
+        AnomalyClass::Massive,
+        AnomalyClass::Unresolved,
+    ];
+    for (&j, want) in abnormal.iter().zip(expect) {
+        assert_eq!(local_class(&pair, &abnormal, j, params), want, "device {j}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// **The locality claim of Section V**: the verdict computed from
+    /// the 4r ball equals the verdict computed from the full state.
+    #[test]
+    fn four_r_knowledge_suffices(
+        seeds in proptest::collection::vec(
+            (0.0..0.2f64, 0.0..0.2f64, 0u8..4), 1..12),
+        tau in 1usize..4,
+    ) {
+        let rows: Vec<(f64, f64)> = seeds
+            .into_iter()
+            .map(|(b, a, c)| {
+                let base = 0.22 * c as f64;
+                (base + b, base + a)
+            })
+            .collect();
+        let pair = pair_from(&rows);
+        let abnormal: Vec<DeviceId> =
+            (0..rows.len() as u32).map(DeviceId).collect();
+        let params = Params::new(0.04, tau).unwrap();
+
+        // Global verdicts.
+        let table = TrajectoryTable::from_state_pair(&pair, &abnormal);
+        let analyzer = AnalyzerCore::new(&table, params);
+
+        for &j in &abnormal {
+            prop_assert_eq!(
+                local_class(&pair, &abnormal, j, params),
+                analyzer.characterize_full(&table, j).class(),
+                "device {} local != global", j
+            );
+        }
     }
 }
